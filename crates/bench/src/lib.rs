@@ -15,6 +15,7 @@
 
 use std::path::PathBuf;
 
+use dcg_core::CacheHealth;
 use dcg_experiments::{ExperimentConfig, FigureTable, Suite};
 use dcg_testkit::bench::Harness;
 use dcg_testkit::json::Json;
@@ -31,16 +32,22 @@ pub fn bench_config() -> ExperimentConfig {
 
 /// Run the shared suite for figure benches.
 pub fn bench_suite(with_plb: bool) -> Suite {
+    bench_suite_with_health(with_plb).0
+}
+
+/// [`bench_suite`], also returning the health of the trace cache it ran
+/// against.
+pub fn bench_suite_with_health(with_plb: bool) -> (Suite, CacheHealth) {
     let cfg = bench_config();
     eprintln!(
         "running {} benchmarks{}...",
         cfg.benchmarks.len(),
         if with_plb { " (with PLB runs)" } else { "" }
     );
-    let suite = Suite::run(&cfg, with_plb);
+    let (suite, health) = Suite::run_with_health(&cfg, with_plb);
     eprintln!("suite finished in {:.2} s wall", suite.wall_ns as f64 / 1e9);
     report_suite_failures(&suite);
-    suite
+    (suite, health)
 }
 
 /// Print every benchmark the suite lost to a panic and return how many
@@ -300,7 +307,7 @@ pub fn run_sim_throughput() -> std::io::Result<PathBuf> {
 /// gating always powers some idle blocks, so an empty trail means the
 /// metrics layer is broken.
 pub fn run_suite_metrics() -> std::io::Result<(PathBuf, usize)> {
-    let suite = bench_suite(false);
+    let (suite, health) = bench_suite_with_health(false);
     let with_audit = suite
         .runs
         .iter()
@@ -326,7 +333,7 @@ pub fn run_suite_metrics() -> std::io::Result<(PathBuf, usize)> {
         }
     }
 
-    let doc = dcg_experiments::suite_metrics_json(&suite);
+    let doc = dcg_experiments::suite_metrics_json_with(&suite, health);
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("suite_metrics.json");

@@ -27,7 +27,7 @@
 
 use std::env::VarError;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 
 use dcg_sim::{LatchGroups, Processor, SimConfig};
@@ -36,6 +36,7 @@ use dcg_trace::{
 };
 use dcg_workloads::{BenchmarkProfile, InstStream, SyntheticWorkload};
 
+use crate::durable::{fnv1a, put_u32, put_u64};
 use crate::error::DcgError;
 use crate::policy::GatingPolicy;
 use crate::runner::{run_passive_with_sinks, PassiveRun, RunLength};
@@ -54,18 +55,6 @@ pub const TRACE_CACHE_ENV: &str = "DCG_TRACE_CACHE";
 /// evicted first.
 pub const TRACE_CACHE_BUDGET_ENV: &str = "DCG_TRACE_CACHE_BUDGET";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Process-wide aggregate counters (see [`CacheHealth::snapshot`]).
-/// Per-instance attribution lives in [`crate::TraceStore`]'s own
-/// counters; these aggregates exist only so the metrics JSON can report
-/// whole-process cache health without threading instances around.
-static STORE_FAILURES: AtomicU64 = AtomicU64::new(0);
-static EVICT_FAILURES: AtomicU64 = AtomicU64::new(0);
-static REPLAY_FAILURES: AtomicU64 = AtomicU64::new(0);
-static KEY_COLLISIONS: AtomicU64 = AtomicU64::new(0);
-static READONLY_SKIPS: AtomicU64 = AtomicU64::new(0);
 /// Gate for the once-per-process store-failure warning.
 static STORE_WARNING: Once = Once::new();
 /// Gate for the once-per-process read-only degradation note.
@@ -85,13 +74,8 @@ static RELOCATED_NOTE: Once = Once::new();
 /// failures do not abort runs — but they must not be *silent* either: a
 /// read-only or full `results/traces/` directory would otherwise quietly
 /// re-simulate everything. The first failure of each kind warns on
-/// stderr; all failures are counted.
-///
-/// Counters come in two scopes: [`TraceCache::health`] reads the
-/// *instance* counters (race-free attribution for tests and the fault
-/// campaign, which compare before/after deltas on one cache), while
-/// [`CacheHealth::snapshot`] reads the process-wide aggregate (what the
-/// metrics JSON reports).
+/// stderr; all failures are counted, per cache instance
+/// ([`TraceCache::health`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheHealth {
     /// Cache stores that failed (directory creation, write, journal
@@ -111,22 +95,7 @@ pub struct CacheHealth {
     pub readonly_skips: u64,
 }
 
-impl CacheHealth {
-    /// The current process-wide aggregate counters. For per-instance
-    /// attribution use [`TraceCache::health`].
-    pub fn snapshot() -> CacheHealth {
-        CacheHealth {
-            store_failures: STORE_FAILURES.load(Ordering::Relaxed),
-            evict_failures: EVICT_FAILURES.load(Ordering::Relaxed),
-            replay_failures: REPLAY_FAILURES.load(Ordering::Relaxed),
-            key_collisions: KEY_COLLISIONS.load(Ordering::Relaxed),
-            readonly_skips: READONLY_SKIPS.load(Ordering::Relaxed),
-        }
-    }
-}
-
 pub(crate) fn note_store_failure(path: &Path, what: &str) {
-    STORE_FAILURES.fetch_add(1, Ordering::Relaxed);
     STORE_WARNING.call_once(|| {
         eprintln!(
             "warning: trace cache store failed ({what}: {}); caching is \
@@ -138,7 +107,6 @@ pub(crate) fn note_store_failure(path: &Path, what: &str) {
 }
 
 fn note_replay_failure(path: &Path, err: &DcgError) {
-    REPLAY_FAILURES.fetch_add(1, Ordering::Relaxed);
     REPLAY_WARNING.call_once(|| {
         eprintln!(
             "warning: cached activity trace {} failed mid-replay ({err}); \
@@ -151,7 +119,6 @@ fn note_replay_failure(path: &Path, err: &DcgError) {
 }
 
 pub(crate) fn note_evict_failure(path: &Path, err: &std::io::Error) {
-    EVICT_FAILURES.fetch_add(1, Ordering::Relaxed);
     EVICT_WARNING.call_once(|| {
         eprintln!(
             "warning: could not delete invalid trace-cache entry {}: {err}; \
@@ -160,10 +127,6 @@ pub(crate) fn note_evict_failure(path: &Path, err: &std::io::Error) {
             path.display()
         );
     });
-}
-
-pub(crate) fn note_key_collision() {
-    KEY_COLLISIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Called once per store open that auto-detects an unwritable directory
@@ -177,10 +140,6 @@ pub(crate) fn note_readonly(path: &Path) {
             path.display()
         );
     });
-}
-
-pub(crate) fn note_readonly_skip() {
-    READONLY_SKIPS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Called by the store after every open-time recovery sweep. Recovery
@@ -339,8 +298,7 @@ impl TraceCache {
     }
 
     /// This instance's health counters (race-free attribution even when
-    /// other caches are active in the process). The process-wide
-    /// aggregate is [`CacheHealth::snapshot`].
+    /// other caches are active in the process).
     pub fn health(&self) -> CacheHealth {
         let h = &self.store.health;
         CacheHealth {
@@ -404,22 +362,16 @@ impl TraceCache {
     /// The key names entry *files*; identity is the full tuple (the
     /// store disambiguates key collisions between distinct tuples).
     pub fn key(config: &SimConfig, name: &str, seed: u64, length: RunLength) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut mix_bytes = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix_bytes(&config.digest().to_le_bytes());
-        mix_bytes(name.as_bytes());
-        mix_bytes(&[0]); // name terminator
-        mix_bytes(&seed.to_le_bytes());
-        mix_bytes(&length.warmup_insts.to_le_bytes());
-        mix_bytes(&length.measure_insts.to_le_bytes());
-        mix_bytes(&ACTIVITY_SCHEMA.to_le_bytes());
-        mix_bytes(&ACTIVITY_VERSION.to_le_bytes());
-        h
+        let mut bytes = Vec::with_capacity(name.len() + 49);
+        put_u64(&mut bytes, config.digest());
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(0); // name terminator
+        put_u64(&mut bytes, seed);
+        put_u64(&mut bytes, length.warmup_insts);
+        put_u64(&mut bytes, length.measure_insts);
+        put_u32(&mut bytes, ACTIVITY_SCHEMA);
+        put_u32(&mut bytes, ACTIVITY_VERSION);
+        fnv1a(&bytes)
     }
 
     /// The store identity for one tuple.
@@ -534,8 +486,7 @@ impl TraceCache {
         Ok(reader)
     }
 
-    /// Evict the tuple's entry and count a replay failure on both the
-    /// instance and the process aggregate.
+    /// Evict the tuple's entry and count a replay failure.
     fn evict_after_replay_failure(
         &self,
         config: &SimConfig,
@@ -900,6 +851,12 @@ mod tests {
     #[test]
     fn key_separates_config_seed_and_length() {
         let cfg = SimConfig::baseline_8wide();
+        // Pinned: the key names entry files, so a change here would
+        // strand every existing store's entries.
+        assert_eq!(
+            TraceCache::key(&cfg, "gzip", 1, short()),
+            0x3db1_0f60_ca68_a946
+        );
         let deep = SimConfig::deep_pipeline_20();
         let k = TraceCache::key(&cfg, "gzip", 1, short());
         assert_ne!(k, TraceCache::key(&deep, "gzip", 1, short()));
@@ -921,7 +878,6 @@ mod tests {
         let cfg = SimConfig::baseline_8wide();
         let groups = LatchGroups::new(&cfg.depth);
         let profile = Spec2000::by_name("gzip").unwrap();
-        let before = CacheHealth::snapshot().store_failures;
         assert_eq!(cache.health(), CacheHealth::default());
 
         let mut base = NoGating::new(&cfg, &groups);
@@ -930,12 +886,8 @@ mod tests {
             .expect("uncached run");
         assert!(run.stats.cycles > 0, "the run itself must still succeed");
         assert!(
-            CacheHealth::snapshot().store_failures > before,
-            "a failed store must be counted, not swallowed"
-        );
-        assert!(
             cache.health().store_failures > 0,
-            "the instance counters attribute the failure to this cache"
+            "a failed store must be counted on this cache, not swallowed"
         );
         assert!(
             cache
@@ -1014,6 +966,51 @@ mod tests {
             .run_passive_cached(&cfg, profile, 5, short(), &mut [&mut base2])
             .expect("fallback run");
         assert_eq!(report_bits(&clean), report_bits(&relive));
+    }
+
+    #[test]
+    fn previous_journal_format_reads_as_foreign_and_entries_are_adopted() {
+        use crate::store::{JOURNAL_FILE, JOURNAL_MAGIC, MANIFEST_FILE};
+        let cache = scratch("old-journal");
+        let dir = cache.dir().to_path_buf();
+        let cfg = SimConfig::baseline_8wide();
+        let groups = LatchGroups::new(&cfg.depth);
+        let profile = Spec2000::by_name("gzip").unwrap();
+        for seed in [1, 2] {
+            let mut base = NoGating::new(&cfg, &groups);
+            cache
+                .run_passive_cached(&cfg, profile, seed, short(), &mut [&mut base])
+                .expect("cold run");
+        }
+        // Leak the cache so no checkpoint writes a manifest: the journal
+        // alone indexes both renamed entries.
+        std::mem::forget(cache);
+        assert!(!dir.join(MANIFEST_FILE).exists());
+
+        // The same records under the previous format's magic and
+        // version word.
+        let journal = dir.join(JOURNAL_FILE);
+        let mut old = b"DCGWAL02".to_vec();
+        old.extend_from_slice(&2u32.to_le_bytes());
+        old.extend_from_slice(&fs::read(&journal).unwrap()[JOURNAL_MAGIC.len()..]);
+        fs::write(&journal, old).unwrap();
+
+        let reopened = TraceCache::new(dir);
+        assert_eq!(
+            reopened.ensure_open().adopted,
+            2,
+            "the directory scan adopts every renamed entry"
+        );
+        assert_eq!(
+            fs::read(&journal).unwrap(),
+            JOURNAL_MAGIC,
+            "journal restarted"
+        );
+        for seed in [1, 2] {
+            assert!(reopened
+                .replay_source(&cfg, profile.name, seed, short())
+                .is_some());
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@
 
 mod cache;
 mod dcg;
+pub mod durable;
 mod error;
 mod faults;
 pub mod metrics;
@@ -90,7 +91,7 @@ pub use sinks::{ActivitySink, MetricsSink};
 pub use source::{ActivitySource, ReplaySource};
 pub use store::{
     EntryIdentity, EntryMeta, RecoveryStats, StoreError, StoreScan, TraceStore, JOURNAL_FILE,
-    MANIFEST_FILE, STORE_CRASH_ENV,
+    JOURNAL_MAGIC, MANIFEST_FILE, STORE_CRASH_ENV,
 };
 
 /// Bitmask with the low `n` bits set (shared by the policies).

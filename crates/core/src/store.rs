@@ -38,17 +38,20 @@
 //! Crash-consistency test hook: `DCG_STORE_CRASH=before-journal:N` or
 //! `before-rename:N` aborts the process at the named point of the `N`-th
 //! store in this process, letting CI kill a sweep mid-store and prove
-//! the reopen recovers (DESIGN.md §14).
+//! the reopen recovers (DESIGN.md §14). The journal framing, the atomic
+//! writes and the hook itself live in [`crate::durable`].
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs::{self, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use dcg_trace::{payload_checksum, ActivityTraceReader, ACTIVITY_SCHEMA, ACTIVITY_VERSION};
+
+use crate::durable::{self, put_str, put_u32, put_u64, Cursor, Log};
 
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.dcgstore";
@@ -59,9 +62,11 @@ pub const JOURNAL_FILE: &str = "JOURNAL.dcgstore";
 /// and self-heal through the directory scan, which re-verifies and
 /// re-checkpoints every entry under the new format.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"DCGMAN02";
-/// Journal magic (bumped alongside the manifest).
-pub const JOURNAL_MAGIC: [u8; 8] = *b"DCGWAL02";
-/// Manifest/journal format version.
+/// Journal magic of the [`durable::Log`] framing. A `DCGWAL02` journal
+/// (separate version word, payload-checksummed records) reads as foreign
+/// and is reset; the directory scan adopts the entries it renamed.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"DCGWAL03";
+/// Manifest format version.
 pub const STORE_FORMAT_VERSION: u32 = 2;
 /// Environment variable for the crash-consistency test hook.
 pub const STORE_CRASH_ENV: &str = "DCG_STORE_CRASH";
@@ -74,13 +79,6 @@ const CHECKPOINT_EVERY: u32 = 16;
 /// Journal record kinds.
 const REC_STORE: u8 = 1;
 const REC_EVICT: u8 = 2;
-
-/// Counter making concurrent writers' temp-file names unique within one
-/// process (the pid distinguishes processes).
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Process-global count of stores, driving the crash hook.
-static STORE_OPS: AtomicU64 = AtomicU64::new(0);
 
 /// The full identity a cache entry is indexed by — every field that can
 /// change what a recorded activity stream replays to. The old flat
@@ -212,8 +210,7 @@ pub struct StoreScan {
 }
 
 /// Per-instance health counters (atomics: the store is shared across
-/// the suite's worker threads). Mirrored into the process-wide
-/// aggregate by the facade in `cache.rs`.
+/// the suite's worker threads), read through [`crate::TraceCache::health`].
 #[derive(Debug, Default)]
 pub struct HealthCounters {
     /// Failed stores (directory creation, write, journal, or rename).
@@ -228,110 +225,6 @@ pub struct HealthCounters {
     /// Stores/evictions skipped because the store directory is not
     /// writable (read-only degradation: lookups still served).
     pub readonly_skips: AtomicU64,
-    /// Untracked valid entries adopted by recovery sweeps.
-    pub adopted_entries: AtomicU64,
-    /// Stale temp files reaped by recovery sweeps.
-    pub reaped_tmp: AtomicU64,
-    /// Interrupted stores rolled forward from the journal.
-    pub rolled_forward: AtomicU64,
-    /// Corrupt entry files or dangling manifest rows dropped.
-    pub dropped_corrupt: AtomicU64,
-}
-
-/// Where the crash hook fires inside a store mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CrashPoint {
-    /// After the temp file is written, before the journal record.
-    BeforeJournal,
-    /// After the journal record, before the rename — the torn state the
-    /// journal exists to roll forward.
-    BeforeRename,
-}
-
-fn crash_plan() -> Option<(CrashPoint, u64)> {
-    static PLAN: OnceLock<Option<(CrashPoint, u64)>> = OnceLock::new();
-    *PLAN.get_or_init(|| {
-        let v = std::env::var(STORE_CRASH_ENV).ok()?;
-        let (point, n) = v.split_once(':')?;
-        let point = match point {
-            "before-journal" => CrashPoint::BeforeJournal,
-            "before-rename" => CrashPoint::BeforeRename,
-            _ => return None,
-        };
-        Some((point, n.parse().ok()?))
-    })
-}
-
-/// Abort the process if the crash hook targets `point` of store op
-/// number `op` (1-based). Test-only by construction: the variable is
-/// never set outside crash-recovery CI and tests.
-fn crash_hook(point: CrashPoint, op: u64) {
-    if let Some((p, n)) = crash_plan() {
-        if p == point && n == op {
-            eprintln!(
-                "{STORE_CRASH_ENV}: aborting at {} of store op {op}",
-                match point {
-                    CrashPoint::BeforeJournal => "before-journal",
-                    CrashPoint::BeforeRename => "before-rename",
-                }
-            );
-            std::process::abort();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization helpers (fixed-width little-endian; store metadata is
-// tiny, so varint compactness buys nothing over parse simplicity).
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Cursor-based reads that fail (with `None`) on truncation instead of
-/// panicking — manifest and journal bytes are untrusted.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        if len > 4096 {
-            return None; // sanity bound: names and file names are short
-        }
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
 }
 
 fn encode_meta(out: &mut Vec<u8>, m: &EntryMeta) {
@@ -377,73 +270,31 @@ enum JournalOp {
     Evict { file: String },
 }
 
-fn encode_journal_record(op: &JournalOp) -> Vec<u8> {
+fn encode_op(op: &JournalOp) -> (u8, Vec<u8>) {
     let mut body = Vec::with_capacity(128);
     match op {
         JournalOp::Store { meta, tmp } => {
             encode_meta(&mut body, meta);
             put_str(&mut body, tmp);
+            (REC_STORE, body)
         }
-        JournalOp::Evict { file } => put_str(&mut body, file),
+        JournalOp::Evict { file } => {
+            put_str(&mut body, file);
+            (REC_EVICT, body)
+        }
     }
-    let kind = match op {
-        JournalOp::Store { .. } => REC_STORE,
-        JournalOp::Evict { .. } => REC_EVICT,
-    };
-    let mut rec = Vec::with_capacity(body.len() + 13);
-    rec.push(kind);
-    put_u32(&mut rec, body.len() as u32);
-    rec.extend_from_slice(&body);
-    let ck = payload_checksum(&rec);
-    put_u64(&mut rec, ck);
-    rec
 }
 
-/// Decode journal records until EOF or the first torn/corrupt record —
-/// everything after a bad record is discarded, exactly as a crashed
-/// appender would have left it.
-fn decode_journal(bytes: &[u8]) -> Vec<JournalOp> {
-    let mut ops = Vec::new();
-    if bytes.len() < JOURNAL_MAGIC.len() + 4 || bytes[..8] != JOURNAL_MAGIC {
-        return ops;
+fn decode_op(kind: u8, body: &[u8]) -> Option<JournalOp> {
+    let mut c = Cursor::new(body);
+    match kind {
+        REC_STORE => Some(JournalOp::Store {
+            meta: decode_meta(&mut c)?,
+            tmp: c.str()?,
+        }),
+        REC_EVICT => Some(JournalOp::Evict { file: c.str()? }),
+        _ => None,
     }
-    let mut c = Cursor::new(bytes);
-    let _ = c.take(8);
-    match c.u32() {
-        Some(STORE_FORMAT_VERSION) => {}
-        _ => return ops,
-    }
-    loop {
-        let start = c.pos;
-        let Some(kind) = c.take(1).map(|b| b[0]) else {
-            break;
-        };
-        let Some(len) = c.u32() else { break };
-        let Some(body) = c.take(len as usize) else {
-            break;
-        };
-        let Some(ck) = c.u64() else { break };
-        if payload_checksum(&bytes[start..start + 5 + len as usize]) != ck {
-            break;
-        }
-        let mut bc = Cursor::new(body);
-        let op = match kind {
-            REC_STORE => {
-                let Some(meta) = decode_meta(&mut bc) else {
-                    break;
-                };
-                let Some(tmp) = bc.str() else { break };
-                JournalOp::Store { meta, tmp }
-            }
-            REC_EVICT => {
-                let Some(file) = bc.str() else { break };
-                JournalOp::Evict { file }
-            }
-            _ => break,
-        };
-        ops.push(op);
-    }
-    ops
 }
 
 // ---------------------------------------------------------------------------
@@ -458,8 +309,8 @@ struct State {
     index: HashMap<EntryIdentity, EntryMeta>,
     /// Monotonic last-access generation allocator.
     generation: u64,
-    /// Open append handle on the journal (lazily created).
-    journal: Option<File>,
+    /// The open journal (lazily opened).
+    journal: Option<Log>,
     /// Mutations since the last checkpoint.
     ops_since_checkpoint: u32,
     /// Anything (including generation bumps) changed since the last
@@ -540,11 +391,7 @@ impl TraceStore {
     /// mutations cannot land, which is exactly what read-only mode
     /// degrades around.
     fn probe_writable(dir: &Path) -> bool {
-        let probe = dir.join(format!(
-            ".probe.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let probe = durable::temp_path(&dir.join(".probe"));
         match OpenOptions::new().write(true).create_new(true).open(&probe) {
             Ok(f) => {
                 drop(f);
@@ -623,9 +470,23 @@ impl TraceStore {
         //    discarded. Temp files named by surviving store records are
         //    accounted for so the sweep below does not double-handle
         //    them.
+        //    A writable open also truncates a torn or foreign journal.
         let mut handled_tmp: Vec<String> = Vec::new();
-        let journal_bytes = fs::read(self.dir.join(JOURNAL_FILE)).unwrap_or_default();
-        for op in decode_journal(&journal_bytes) {
+        let journal_path = self.dir.join(JOURNAL_FILE);
+        let opened = (!st.readonly)
+            .then(|| Log::open(&journal_path, &JOURNAL_MAGIC, decode_op).ok())
+            .flatten();
+        let ops = match opened {
+            Some((log, ops)) => {
+                st.journal = Some(log);
+                ops
+            }
+            None => {
+                let bytes = fs::read(&journal_path).unwrap_or_default();
+                durable::decode(&bytes, &JOURNAL_MAGIC, decode_op).0
+            }
+        };
+        for op in ops {
             match op {
                 JournalOp::Store { meta, tmp } => {
                     handled_tmp.push(tmp.clone());
@@ -687,7 +548,7 @@ impl TraceStore {
                 if name == MANIFEST_FILE || name == JOURNAL_FILE {
                     continue;
                 }
-                if name.ends_with(".tmp") {
+                if durable::is_temp(&name) {
                     if !st.readonly && !handled_tmp.contains(&name) {
                         let _ = fs::remove_file(entry.path());
                         st.recovery.reaped_tmp += 1;
@@ -746,18 +607,6 @@ impl TraceStore {
             st.recovery.evicted_over_budget += self.evict_to_budget(&mut st);
         }
 
-        self.health
-            .adopted_entries
-            .fetch_add(st.recovery.adopted, Ordering::Relaxed);
-        self.health
-            .reaped_tmp
-            .fetch_add(st.recovery.reaped_tmp, Ordering::Relaxed);
-        self.health
-            .rolled_forward
-            .fetch_add(st.recovery.rolled_forward, Ordering::Relaxed);
-        self.health
-            .dropped_corrupt
-            .fetch_add(st.recovery.dropped_corrupt, Ordering::Relaxed);
         crate::cache::note_recovery(&st.recovery);
 
         // 5. Checkpoint the reconciled state so the next open starts
@@ -841,41 +690,19 @@ impl TraceStore {
         let ck = payload_checksum(&out);
         put_u64(&mut out, ck);
 
-        let tmp = self.dir.join(format!(
-            "{MANIFEST_FILE}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = || -> io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-            fs::rename(&tmp, self.dir.join(MANIFEST_FILE))
-        };
-        if let Err(e) = write() {
-            let _ = fs::remove_file(&tmp);
-            return Err(StoreError {
+        durable::atomic_write(&self.dir.join(MANIFEST_FILE), &out, |_| {}).map_err(|e| {
+            StoreError {
                 what: "manifest checkpoint",
                 source: e,
-            });
-        }
-        // Manifest is durable: restart the journal.
-        st.journal = None;
-        let fresh = || -> io::Result<File> {
-            let mut f = File::create(self.dir.join(JOURNAL_FILE))?;
-            f.write_all(&JOURNAL_MAGIC)?;
-            f.write_all(&STORE_FORMAT_VERSION.to_le_bytes())?;
-            f.sync_all()?;
-            Ok(f)
-        };
-        match fresh() {
-            Ok(f) => st.journal = Some(f),
-            Err(e) => {
-                return Err(StoreError {
-                    what: "journal restart",
-                    source: e,
-                })
             }
+        })?;
+        // Manifest is durable: restart the journal.
+        if let Err(e) = self.journal(st).and_then(Log::reset) {
+            st.journal = None;
+            return Err(StoreError {
+                what: "journal restart",
+                source: e,
+            });
         }
         st.ops_since_checkpoint = 0;
         st.dirty = false;
@@ -889,31 +716,23 @@ impl TraceStore {
         self.checkpoint_locked(st)
     }
 
-    /// Append one journal record, creating the journal lazily.
-    /// Soft-fails (counted by the caller): a lost journal record only
-    /// costs recovery the roll-forward shortcut — the directory scan
-    /// still adopts the entry.
-    fn journal_append(&self, st: &mut State, op: &JournalOp) -> Result<(), StoreError> {
+    /// The open journal, opened (and its torn tail truncated) on first
+    /// use after the directory exists.
+    fn journal<'a>(&self, st: &'a mut State) -> io::Result<&'a mut Log> {
         if st.journal.is_none() {
-            let open = || -> io::Result<File> {
-                let path = self.dir.join(JOURNAL_FILE);
-                let exists = path.is_file() && fs::metadata(&path).map_or(0, |m| m.len()) > 0;
-                let mut f = OpenOptions::new().create(true).append(true).open(&path)?;
-                if !exists {
-                    f.write_all(&JOURNAL_MAGIC)?;
-                    f.write_all(&STORE_FORMAT_VERSION.to_le_bytes())?;
-                }
-                Ok(f)
-            };
-            st.journal = Some(open().map_err(|e| StoreError {
-                what: "journal open",
-                source: e,
-            })?);
+            let (log, _) = Log::open(&self.dir.join(JOURNAL_FILE), &JOURNAL_MAGIC, decode_op)?;
+            st.journal = Some(log);
         }
-        let f = st.journal.as_mut().expect("journal opened above");
-        let rec = encode_journal_record(op);
-        f.write_all(&rec)
-            .and_then(|()| f.sync_data())
+        Ok(st.journal.as_mut().expect("journal opened above"))
+    }
+
+    /// Append one journal record. Soft-fails (counted by the caller): a
+    /// lost journal record only costs recovery the roll-forward
+    /// shortcut — the directory scan still adopts the entry.
+    fn journal_append(&self, st: &mut State, op: &JournalOp) -> Result<(), StoreError> {
+        let (kind, body) = encode_op(op);
+        self.journal(st)
+            .and_then(|log| log.append(kind, &body))
             .map_err(|e| StoreError {
                 what: "journal append",
                 source: e,
@@ -934,7 +753,6 @@ impl TraceStore {
             // store keeps its bytes, and the skip is counted instead of
             // failing the run.
             self.health.readonly_skips.fetch_add(1, Ordering::Relaxed);
-            crate::cache::note_readonly_skip();
             return;
         }
         if let Err(what) = self.insert_locked(st, identity, key, bytes) {
@@ -954,58 +772,42 @@ impl TraceStore {
             return Err("cannot create store directory");
         }
         let file = self.file_for(st, identity, key);
-        let tmp = format!(
-            "{file}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
-        let tmp_path = self.dir.join(&tmp);
-        let write = || -> io::Result<()> {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(bytes)?;
-            f.sync_all()
-        };
-        if write().is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return Err("cannot write temp file");
-        }
-
-        let op = STORE_OPS.fetch_add(1, Ordering::Relaxed) + 1;
-        crash_hook(CrashPoint::BeforeJournal, op);
-
-        st.generation += 1;
-        let meta = EntryMeta {
-            identity: identity.clone(),
-            file: file.clone(),
-            bytes: bytes.len() as u64,
-            checksum: payload_checksum(bytes),
-            generation: st.generation,
-            // Born verified: the checksum was computed from the bytes
-            // being written, and the roll-forward path re-proves the
-            // file against it before trusting this row after a crash.
-            verified: st.generation,
-        };
-        // Journal the intent first: after this record is durable, a
-        // crash on either side of the rename is recoverable.
-        if let Err(e) = self.journal_append(
-            st,
-            &JournalOp::Store {
+        let mut journaled = None;
+        let written = durable::atomic_write(&self.dir.join(&file), bytes, |tmp| {
+            durable::crash_point(STORE_CRASH_ENV, "before-journal");
+            st.generation += 1;
+            let meta = EntryMeta {
+                identity: identity.clone(),
+                file: file.clone(),
+                bytes: bytes.len() as u64,
+                checksum: payload_checksum(bytes),
+                generation: st.generation,
+                // Born verified: the checksum was computed from the bytes
+                // being written, and the roll-forward path re-proves the
+                // file against it before trusting this row after a crash.
+                verified: st.generation,
+            };
+            // Journal the intent first: after this record is durable, a
+            // crash on either side of the rename is recoverable.
+            let tmp = tmp.file_name().unwrap_or_default().to_string_lossy();
+            let op = JournalOp::Store {
                 meta: meta.clone(),
-                tmp: tmp.clone(),
-            },
-        ) {
-            // A store without a journal row still recovers through the
-            // directory scan; degrade, but count it.
-            crate::cache::note_store_failure(&self.dir, e.what);
-            self.health.store_failures.fetch_add(1, Ordering::Relaxed);
-        }
-
-        crash_hook(CrashPoint::BeforeRename, op);
-
-        if fs::rename(&tmp_path, self.dir.join(&file)).is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return Err("cannot rename temp file into place");
-        }
+                tmp: tmp.into_owned(),
+            };
+            if let Err(e) = self.journal_append(st, &op) {
+                // A store without a journal row still recovers through the
+                // directory scan; degrade, but count it.
+                crate::cache::note_store_failure(&self.dir, e.what);
+                self.health.store_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            durable::crash_point(STORE_CRASH_ENV, "before-rename");
+            journaled = Some(meta);
+        });
+        let meta = match (written, journaled) {
+            (Ok(()), Some(meta)) => meta,
+            (_, Some(_)) => return Err("cannot rename temp file into place"),
+            (_, None) => return Err("cannot write temp file"),
+        };
         st.index.insert(identity.clone(), meta);
         st.dirty = true;
         st.ops_since_checkpoint += 1;
@@ -1035,7 +837,6 @@ impl TraceStore {
         // collision. The manifest keeps both under distinct names — the
         // flat layout would have let them overwrite each other forever.
         self.health.key_collisions.fetch_add(1, Ordering::Relaxed);
-        crate::cache::note_key_collision();
         let mut n = 1u32;
         loop {
             let cand = format!("{}-{key:016x}-{n}.dcgact", identity.name);
@@ -1056,7 +857,6 @@ impl TraceStore {
             // Drop the row from the in-memory index (so a failed entry
             // is not retried forever) but leave the disk alone.
             self.health.readonly_skips.fetch_add(1, Ordering::Relaxed);
-            crate::cache::note_readonly_skip();
             return;
         }
         if let Err(e) = self.journal_append(
@@ -1159,11 +959,6 @@ impl TraceStore {
                 .dir
                 .join(format!("{}-{key:016x}.dcgact", identity.name)),
         }
-    }
-
-    /// What the open-time recovery sweep did (forces the open).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.ensure_open()
     }
 
     /// Resolve every tracked identity through the fast lookup path —
@@ -1328,7 +1123,7 @@ fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<EntryMeta>)> {
     for _ in 0..count {
         entries.push(decode_meta(&mut c)?);
     }
-    if c.pos != body.len() {
+    if !c.done() {
         return None; // trailing garbage under a valid checksum: reject
     }
     Some((generation, entries))
@@ -1337,6 +1132,7 @@ fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<EntryMeta>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::File;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -1382,42 +1178,6 @@ mod tests {
             );
         }
         assert!(decode_manifest(&bytes[..bytes.len() - 3]).is_none());
-    }
-
-    #[test]
-    fn journal_replay_stops_at_torn_tail() {
-        let mut j = Vec::new();
-        j.extend_from_slice(&JOURNAL_MAGIC);
-        j.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        let m = EntryMeta {
-            identity: ident("x", 9),
-            file: "x-1.dcgact".into(),
-            bytes: 4,
-            checksum: 99,
-            generation: 1,
-            verified: 1,
-        };
-        j.extend_from_slice(&encode_journal_record(&JournalOp::Store {
-            meta: m.clone(),
-            tmp: "x-1.dcgact.1.0.tmp".into(),
-        }));
-        let good_len = j.len();
-        j.extend_from_slice(&encode_journal_record(&JournalOp::Evict {
-            file: "x-1.dcgact".into(),
-        }));
-
-        assert_eq!(decode_journal(&j).len(), 2, "intact journal replays all");
-        // Torn tail: any truncation inside the second record drops it
-        // (and only it).
-        for cut in good_len + 1..j.len() {
-            let ops = decode_journal(&j[..cut]);
-            assert_eq!(ops.len(), 1, "cut at {cut} keeps exactly the first record");
-        }
-        // Corrupt second record: same outcome.
-        let mut bad = j.clone();
-        let last = bad.len() - 3;
-        bad[last] ^= 1;
-        assert_eq!(decode_journal(&bad).len(), 1);
     }
 
     /// Write a syntactically valid manifest by hand (the store only
@@ -1645,14 +1405,12 @@ mod tests {
         };
         let tmp = "gz-0000000000000009.dcgact.42.0.tmp".to_string();
         fs::write(dir.join(&tmp), &body).unwrap();
-        let mut j = Vec::new();
-        j.extend_from_slice(&JOURNAL_MAGIC);
-        j.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        j.extend_from_slice(&encode_journal_record(&JournalOp::Store {
+        let (mut log, _) = Log::open(&dir.join(JOURNAL_FILE), &JOURNAL_MAGIC, decode_op).unwrap();
+        let (kind, record) = encode_op(&JournalOp::Store {
             meta: meta.clone(),
             tmp: tmp.clone(),
-        }));
-        fs::write(dir.join(JOURNAL_FILE), &j).unwrap();
+        });
+        log.append(kind, &record).unwrap();
 
         let store = TraceStore::new(dir.clone(), None);
         let stats = store.ensure_open();

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use dcg_core::{
     run_passive, run_passive_source, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan,
     FaultPoint, FaultSpec, FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength,
-    TraceCache, JOURNAL_FILE, MANIFEST_FILE,
+    TraceCache, JOURNAL_FILE, JOURNAL_MAGIC, MANIFEST_FILE,
 };
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, Processor, SimConfig};
@@ -390,8 +390,7 @@ impl Context {
         let cache = TraceCache::new(blocker.join("cache"));
 
         // Per-instance counters attribute the failure to *this* cache
-        // even while other campaign faults (or parallel tests) run —
-        // the process-wide snapshot cannot make that distinction.
+        // even while other campaign faults (or parallel tests) run.
         let before = cache.health().store_failures;
         let groups = LatchGroups::new(&self.cfg.depth);
         let mut dcg = Dcg::new(&self.cfg, &groups);
@@ -590,7 +589,7 @@ impl Context {
 
         let journal = dir.join(JOURNAL_FILE);
         let bytes = fs::read(&journal).expect("the store appended a journal record");
-        let header = 12; // magic + format version
+        let header = JOURNAL_MAGIC.len();
         assert!(
             bytes.len() > header,
             "the journal must hold the store record"

@@ -44,7 +44,7 @@ pub use kernels::{
     differential_check, kernel_run_length, kernel_savings_json, run_kernels, Divergence, KernelRun,
     KERNEL_SEED,
 };
-pub use metrics_json::{metrics_json, suite_metrics_json};
+pub use metrics_json::{metrics_json, suite_metrics_json, suite_metrics_json_with};
 pub use phases::{phase_analysis, PhaseSeries};
 pub use suite::{
     suite_workers, suite_workers_from_env_value, BenchmarkRun, ExperimentConfig, Suite,

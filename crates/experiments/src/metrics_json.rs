@@ -174,11 +174,18 @@ fn derived_json(report: &MetricsReport) -> Json {
     )
 }
 
-/// Encode a whole suite's metrics: one block per benchmark (integer-only
-/// report plus derived ratios), suite failures by name, and the
-/// process-wide trace-cache health counters.
+/// [`suite_metrics_json_with`] for a suite whose trace-cache health is
+/// not known (assembled by hand, or run without a cache): the
+/// `cache_health` block reads all zero.
 pub fn suite_metrics_json(suite: &Suite) -> Json {
-    let health = CacheHealth::snapshot();
+    suite_metrics_json_with(suite, CacheHealth::default())
+}
+
+/// Encode a whole suite's metrics: one block per benchmark (integer-only
+/// report plus derived ratios), suite failures by name, and `health`, the
+/// counters of the trace cache the suite ran against (see
+/// [`Suite::run_with_health`]).
+pub fn suite_metrics_json_with(suite: &Suite, health: CacheHealth) -> Json {
     Json::obj([
         (
             "benchmarks",

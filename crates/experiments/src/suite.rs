@@ -5,8 +5,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcg_core::{
-    run_active, run_passive_with_sinks, ActivitySink, Dcg, DcgError, MetricsReport, MetricsSink,
-    NoGating, PassiveRun, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
+    run_active, run_passive_with_sinks, ActivitySink, CacheHealth, Dcg, DcgError, MetricsReport,
+    MetricsSink, NoGating, PassiveRun, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
 };
 use dcg_power::{Component, PowerReport};
 use dcg_sim::{LatchGroups, Processor, SimConfig, SimStats};
@@ -244,7 +244,14 @@ impl Suite {
     /// re-running a suite on a warm cache replays recorded activity
     /// instead of re-simulating the pipeline.
     pub fn run(cfg: &ExperimentConfig, with_plb: bool) -> Suite {
-        let ((runs, failures), wall_ns) = dcg_testkit::bench::time(|| {
+        Self::run_with_health(cfg, with_plb).0
+    }
+
+    /// [`Suite::run`], also returning the health counters of the trace
+    /// cache the suite ran against (all zero when caching is off) — what
+    /// [`crate::suite_metrics_json_with`] reports.
+    pub fn run_with_health(cfg: &ExperimentConfig, with_plb: bool) -> (Suite, CacheHealth) {
+        let ((runs, failures, health), wall_ns) = dcg_testkit::bench::time(|| {
             let n = cfg.benchmarks.len();
             let workers = suite_workers().min(n.max(1));
             let cache = TraceCache::from_env();
@@ -295,13 +302,15 @@ impl Suite {
                     Err(failure) => failures.push(failure),
                 }
             }
-            (runs, failures)
+            let health = cache.as_ref().map(TraceCache::health).unwrap_or_default();
+            (runs, failures, health)
         });
-        Suite {
+        let suite = Suite {
             runs,
             failures,
             wall_ns,
-        }
+        };
+        (suite, health)
     }
 
     /// The shared passive pass (baseline + DCG + metrics sink), cached or

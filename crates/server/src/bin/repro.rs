@@ -27,11 +27,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use dcg_core::CacheHealth;
 use dcg_server::{DcgClient, ExperimentServer, JobSpec, ServerConfig};
 
 use dcg_experiments::{
     alu_sweep, fault_campaign_json, fault_seed_from_env, fig10, fig11, fig12, fig13, fig14, fig15,
-    fig16, fig17, phase_analysis, suite_metrics_json, summary, utilization, workload_stats,
+    fig16, fig17, phase_analysis, suite_metrics_json_with, summary, utilization, workload_stats,
     write_svg, write_utilization_svg, ExperimentConfig, FaultCampaign, FigureTable, Suite,
     FAULT_SEED_ENV,
 };
@@ -153,7 +154,7 @@ fn main() -> ExitCode {
             "fig10" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16"
         )
     });
-    let suites: Vec<Suite> = if needs_suite {
+    let (suites, healths): (Vec<Suite>, Vec<CacheHealth>) = if needs_suite {
         (0..seeds)
             .map(|k| {
                 let mut c = cfg.clone();
@@ -164,11 +165,11 @@ fn main() -> ExitCode {
                     c.benchmarks.len(),
                     if needs_plb { " (with PLB runs)" } else { "" }
                 );
-                Suite::run(&c, needs_plb)
+                Suite::run_with_health(&c, needs_plb)
             })
-            .collect()
+            .unzip()
     } else {
-        Vec::new()
+        (Vec::new(), Vec::new())
     };
     let averaged = |f: &dyn Fn(&Suite) -> FigureTable| -> FigureTable {
         let tables: Vec<FigureTable> = suites.iter().map(f).collect();
@@ -276,7 +277,8 @@ fn main() -> ExitCode {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            match std::fs::write(&path, format!("{}\n", suite_metrics_json(s))) {
+            let doc = suite_metrics_json_with(s, healths[0]);
+            match std::fs::write(&path, format!("{doc}\n")) {
                 Ok(()) => eprintln!("wrote {}", path.display()),
                 Err(e) => {
                     eprintln!("failed to write {}: {e}", path.display());

@@ -11,13 +11,14 @@
 
 use std::path::Path;
 
+use dcg_core::durable::{fnv1a, put_str, put_u32, put_u64, Cursor};
 use dcg_core::{run_passive, Dcg, NoGating, RunLength, TraceCache};
-use dcg_experiments::{fault_campaign_json, suite_metrics_json, ExperimentConfig, FaultCampaign};
+use dcg_experiments::{
+    fault_campaign_json, suite_metrics_json_with, ExperimentConfig, FaultCampaign,
+};
 use dcg_sim::{LatchGroups, SimConfig};
 use dcg_testkit::json::Json;
 use dcg_workloads::{Spec2000, SyntheticWorkload};
-
-use crate::protocol::{fnv1a, put_str, put_u32, put_u64, Cursor};
 
 const SPEC_SIMULATE: u8 = 1;
 const SPEC_REPLAY: u8 = 2;
@@ -227,7 +228,7 @@ pub fn run_job(spec: &JobSpec, state_dir: &Path) -> Result<String, JobError> {
                 ExperimentConfig::standard()
             };
             cfg.seed = *seed;
-            let suite = dcg_experiments::Suite::run(&cfg, false);
+            let (suite, health) = dcg_experiments::Suite::run_with_health(&cfg, false);
             if !suite.failures.is_empty() {
                 let names: Vec<&str> = suite.failures.iter().map(|f| f.name.as_str()).collect();
                 return Err(JobError::retryable(format!(
@@ -235,7 +236,7 @@ pub fn run_job(spec: &JobSpec, state_dir: &Path) -> Result<String, JobError> {
                     names.join(", ")
                 )));
             }
-            Ok(format!("{}\n", suite_metrics_json(&suite)))
+            Ok(format!("{}\n", suite_metrics_json_with(&suite, health)))
         }
         JobSpec::Faults { seed, count } => {
             if *count == 0 {
@@ -327,6 +328,8 @@ mod tests {
             assert_eq!(JobSpec::decode(&s.encode()).as_ref(), Some(s));
             assert_eq!(s.id(), s.clone().id(), "id is a pure function");
         }
+        // Pinned: ids name result files and dedup across restarts.
+        assert_eq!(specs[0].id(), 0x185f_d325_eea8_5cd5);
         // Distinct specs get distinct ids (simulate vs replay of the
         // same benchmark must not dedup into each other).
         let ids: Vec<u64> = specs.iter().map(JobSpec::id).collect();

@@ -6,7 +6,7 @@
 //! magic  [u8; 4]   b"DCGF"
 //! len    u32 LE    payload length, <= MAX_FRAME_LEN
 //! payload [len]    tag byte + fixed-width LE fields (see Request/Reply)
-//! check  u64 LE    FNV-1a over the payload bytes
+//! check  u64 LE    FNV-1a over the payload bytes (dcg_core::durable::fnv1a)
 //! ```
 //!
 //! The framing layer is deliberately paranoid: a bad magic, an oversized
@@ -19,6 +19,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use dcg_core::durable::{fnv1a, put_bytes, put_str, put_u32, put_u64, Cursor};
+
 use crate::jobs::JobSpec;
 
 /// Frame magic — first four bytes of every message in either direction.
@@ -28,21 +30,6 @@ pub const FRAME_MAGIC: [u8; 4] = *b"DCGF";
 /// the job bodies produce (suite metrics are ~100 KiB), small enough
 /// that a corrupt length field cannot drive an unbounded allocation.
 pub const MAX_FRAME_LEN: u32 = 4 << 20;
-
-/// Longest string field accepted inside a payload (names, error
-/// messages). Result documents use the byte-field codec bounded by
-/// [`MAX_FRAME_LEN`] instead.
-const MAX_STR: usize = 4096;
-
-/// FNV-1a over `bytes` — the same checksum the trace store journal uses.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A structured framing/decoding failure. Every malformed input maps to
 /// exactly one of these; none of them panic or allocate past the frame
@@ -176,85 +163,11 @@ fn read_exact_or_truncated(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Payload field codecs (fixed-width little-endian, shared with the job
-// WAL). The cursor returns None past the end instead of panicking.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-/// Bounds-checked little-endian reader over a payload.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        let b = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let b = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    pub(crate) fn str_bounded(&mut self, bound: usize) -> Option<String> {
-        let len = self.u32()? as usize;
-        if len > bound {
-            return None;
-        }
-        let b = self.buf.get(self.pos..self.pos + len)?;
-        self.pos += len;
-        String::from_utf8(b.to_vec()).ok()
-    }
-
-    pub(crate) fn str(&mut self) -> Option<String> {
-        self.str_bounded(MAX_STR)
-    }
-
-    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME_LEN as usize {
-            return None;
-        }
-        let b = self.buf.get(self.pos..self.pos + len)?;
-        self.pos += len;
-        Some(b.to_vec())
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+/// A byte field of at most [`MAX_FRAME_LEN`] bytes (specs, result and
+/// health documents); string fields are bounded by
+/// [`dcg_core::durable::MAX_STR`].
+fn frame_bytes(c: &mut Cursor<'_>) -> Option<Vec<u8>> {
+    c.bytes(MAX_FRAME_LEN as usize).map(<[u8]>::to_vec)
 }
 
 // ---------------------------------------------------------------------------
@@ -322,9 +235,8 @@ impl Request {
         let req = match c.u8().ok_or(ProtocolError::Malformed("empty request"))? {
             REQ_PING => Request::Ping,
             REQ_SUBMIT => {
-                let spec = c
-                    .bytes()
-                    .ok_or(ProtocolError::Malformed("submit spec bytes"))?;
+                let spec =
+                    frame_bytes(&mut c).ok_or(ProtocolError::Malformed("submit spec bytes"))?;
                 Request::Submit(
                     JobSpec::decode(&spec).ok_or(ProtocolError::Malformed("submit job spec"))?,
                 )
@@ -512,14 +424,14 @@ impl Reply {
             },
             REP_RESULT => Reply::Result {
                 id: c.u64().ok_or(ProtocolError::Malformed("result id"))?,
-                json: c.bytes().ok_or(ProtocolError::Malformed("result body"))?,
+                json: frame_bytes(&mut c).ok_or(ProtocolError::Malformed("result body"))?,
             },
             REP_NOT_READY => Reply::NotReady {
                 id: c.u64().ok_or(ProtocolError::Malformed("not-ready id"))?,
                 state: c.str().ok_or(ProtocolError::Malformed("not-ready state"))?,
             },
             REP_HEALTH => Reply::Health(
-                c.bytes()
+                frame_bytes(&mut c)
                     .and_then(|b| String::from_utf8(b).ok())
                     .ok_or(ProtocolError::Malformed("health body"))?,
             ),
@@ -549,6 +461,14 @@ mod tests {
 
         let got = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(got, payload);
+        // Pinned: clients and servers of any build must agree on frames.
+        assert_eq!(
+            buf,
+            [
+                0x44, 0x43, 0x47, 0x46, 0x09, 0x00, 0x00, 0x00, 0x03, 0xef, 0xbe, 0xad, 0xde, 0x00,
+                0x00, 0x00, 0x00, 0xb4, 0x94, 0xf4, 0xf4, 0x8e, 0xcf, 0x24, 0x16
+            ]
+        );
 
         // Flip one payload byte: checksum mismatch, not a panic.
         let mut bad = buf.clone();

@@ -26,9 +26,10 @@
 //! ## Crash-resume
 //!
 //! Every transition is journaled through [`JobWal`] *before* it takes
-//! effect, and result documents are committed with the temp-file +
-//! rename discipline the trace store uses. On restart, jobs with a
-//! `SUBMIT` but no terminal record are re-queued and re-run; because
+//! effect, and result documents are committed with
+//! [`durable::atomic_write`], as the trace store's entries are; `open`
+//! reaps the temp file of a commit a crash interrupted. On restart, jobs
+//! with a `SUBMIT` but no terminal record are re-queued and re-run; because
 //! every job body is a pure function of its spec, the resumed run
 //! produces **byte-identical** result documents. The deterministic
 //! abort hook ([`SERVER_CRASH_ENV`]) makes this a CI invariant rather
@@ -48,15 +49,14 @@
 //! detached and its result discarded) and schedules a retry.
 
 use std::collections::{HashMap, VecDeque};
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dcg_core::TraceCache;
+use dcg_core::{durable, TraceCache};
 use dcg_testkit::json::Json;
 
 use crate::jobs::{run_job, JobClass, JobError, JobSpec};
@@ -65,7 +65,8 @@ use crate::wal::{JobWal, WalRecord};
 
 /// Environment variable selecting a deterministic crash point
 /// (`before-journal:N`, `before-commit:N` or `after-commit:N`): the
-/// process aborts at the Nth op of that stage. Test/CI only.
+/// process aborts the Nth time it reaches that point
+/// ([`durable::crash_point`]). Test/CI only.
 pub const SERVER_CRASH_ENV: &str = "DCG_SERVER_CRASH";
 
 /// Environment variable bounding the job queue (`dcg-server` and
@@ -78,61 +79,6 @@ pub const SERVER_RETRIES_ENV: &str = "DCG_SERVER_RETRIES";
 /// Subdirectory of the state directory holding committed result
 /// documents (`job-<id>.json`).
 pub const JOBS_DIR: &str = "jobs";
-
-// ---------------------------------------------------------------------------
-// Crash hook (mirrors DCG_STORE_CRASH in the trace store)
-// ---------------------------------------------------------------------------
-
-/// Process-global submit-journal ordinal, driving `before-journal:N`.
-static SUBMIT_OPS: AtomicU64 = AtomicU64::new(0);
-/// Process-global result-commit ordinal, driving `before-commit:N` and
-/// `after-commit:N`.
-static COMMIT_OPS: AtomicU64 = AtomicU64::new(0);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CrashPoint {
-    /// Before the Nth SUBMIT record is journaled (the client has not
-    /// been acknowledged; the job is simply lost, which is consistent).
-    BeforeJournal,
-    /// After the Nth result document is computed and written to its
-    /// temp file, before the rename — the torn state a restart must
-    /// re-run.
-    BeforeCommit,
-    /// After the Nth rename, before the DONE record — the orphaned
-    /// state a restart must complete without re-running.
-    AfterCommit,
-}
-
-fn crash_plan() -> Option<(CrashPoint, u64)> {
-    static PLAN: OnceLock<Option<(CrashPoint, u64)>> = OnceLock::new();
-    *PLAN.get_or_init(|| {
-        let v = std::env::var(SERVER_CRASH_ENV).ok()?;
-        let (point, n) = v.split_once(':')?;
-        let point = match point {
-            "before-journal" => CrashPoint::BeforeJournal,
-            "before-commit" => CrashPoint::BeforeCommit,
-            "after-commit" => CrashPoint::AfterCommit,
-            _ => return None,
-        };
-        Some((point, n.parse().ok()?))
-    })
-}
-
-fn crash_hook(point: CrashPoint, op: u64) {
-    if let Some((p, n)) = crash_plan() {
-        if p == point && n == op {
-            eprintln!(
-                "{SERVER_CRASH_ENV}: aborting at {} of server op {op}",
-                match point {
-                    CrashPoint::BeforeJournal => "before-journal",
-                    CrashPoint::BeforeCommit => "before-commit",
-                    CrashPoint::AfterCommit => "after-commit",
-                }
-            );
-            std::process::abort();
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -317,7 +263,8 @@ pub struct ExperimentServer {
 }
 
 impl ExperimentServer {
-    /// Open the server state: create directories, replay the job WAL,
+    /// Open the server state: create directories, reap the temp files
+    /// of result commits a crash interrupted, replay the job WAL,
     /// rebuild the job table and re-queue every job without a terminal
     /// record. Jobs whose result document already exists but whose
     /// `DONE` record was lost (an `after-commit` crash) are completed
@@ -327,7 +274,13 @@ impl ExperimentServer {
     ///
     /// Unrecoverable state-directory I/O only.
     pub fn open(cfg: ServerConfig) -> std::io::Result<Arc<ExperimentServer>> {
-        fs::create_dir_all(cfg.state_dir.join(JOBS_DIR))?;
+        let jobs_dir = cfg.state_dir.join(JOBS_DIR);
+        fs::create_dir_all(&jobs_dir)?;
+        for entry in fs::read_dir(&jobs_dir)?.flatten() {
+            if durable::is_temp(&entry.file_name().to_string_lossy()) {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
         let (wal, records) = JobWal::open(&cfg.state_dir)?;
 
         // Fold the record stream into final per-job states.
@@ -448,8 +401,7 @@ impl ExperimentServer {
                 retry_after_ms: 100 * (per_worker as u64 + 1),
             };
         }
-        let op = SUBMIT_OPS.fetch_add(1, Ordering::Relaxed) + 1;
-        crash_hook(CrashPoint::BeforeJournal, op);
+        durable::crash_point(SERVER_CRASH_ENV, "before-journal");
         if let Err(e) = self.wal.append(&WalRecord::Submit {
             id,
             spec: spec.clone(),
@@ -702,27 +654,15 @@ impl ExperimentServer {
         }
     }
 
-    /// Write the result document durably: temp file + `sync_data` +
-    /// rename, with the crash hook at the torn point and after the
-    /// rename.
+    /// Write the result document atomically, then journal `DONE`, with
+    /// the crash hook at the torn point (temp file synced, rename
+    /// pending) and after the rename.
     fn commit_result(&self, id: u64, json: &str) -> std::io::Result<()> {
-        let op = COMMIT_OPS.fetch_add(1, Ordering::Relaxed) + 1;
-        let final_path = self.result_path(id);
-        let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_data()?;
-        }
-        crash_hook(CrashPoint::BeforeCommit, op);
-        fs::rename(&tmp_path, &final_path)?;
-        crash_hook(CrashPoint::AfterCommit, op);
-        self.wal.append(&WalRecord::Done { id })?;
-        Ok(())
+        durable::atomic_write(&self.result_path(id), json.as_bytes(), |_| {
+            durable::crash_point(SERVER_CRASH_ENV, "before-commit");
+        })?;
+        durable::crash_point(SERVER_CRASH_ENV, "after-commit");
+        self.wal.append(&WalRecord::Done { id })
     }
 
     fn fail_attempt(&self, id: u64, attempt: u32, err: JobError) {

@@ -1,39 +1,26 @@
 //! The server's write-ahead log of job transitions (`JOBS.dcgwal`).
 //!
-//! Same durability discipline as the trace store journal: an 8-byte
-//! magic header followed by checksummed records, appended with
-//! `sync_data` before the transition takes effect, decoded on open with
-//! **torn-tail discard** — the first record that fails its length or
-//! checksum ends the replay, and the file is truncated back to the last
-//! valid prefix so later appends extend a clean log. A `kill -9` at any
-//! byte therefore loses at most the record being written, never the
-//! log's integrity.
-//!
-//! Record framing (little-endian):
-//!
-//! ```text
-//! kind   u8      SUBMIT | START | DONE | FAIL
-//! len    u32     body length
-//! body   [len]
-//! check  u64     FNV-1a over the preceding 5 + len bytes
-//! ```
+//! A [`dcg_core::durable::Log`] under magic `DCGJWL01` — the same
+//! framing, torn-tail truncation and `sync_data`-per-append discipline
+//! as the trace store journal (DESIGN.md §14). Every transition is
+//! appended before it takes effect, so a `kill -9` at any byte loses at
+//! most the record being written, never the log's integrity. The record
+//! kinds are SUBMIT, START, DONE and FAIL.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use dcg_core::durable::{self, put_bytes, put_str, put_u32, put_u64, Cursor, Log};
+
 use crate::jobs::JobSpec;
-use crate::protocol::{fnv1a, put_bytes, put_str, put_u32, put_u64, Cursor};
+use crate::protocol::MAX_FRAME_LEN;
 
 /// File name of the job WAL inside the server state directory.
 pub const JOBS_WAL_FILE: &str = "JOBS.dcgwal";
 
 /// Magic header of the job WAL.
 pub const JOBS_WAL_MAGIC: &[u8; 8] = b"DCGJWL01";
-
-/// Bound on one WAL record body (a spec plus a message; far below this).
-const MAX_RECORD: u32 = 1 << 20;
 
 const REC_SUBMIT: u8 = 1;
 const REC_START: u8 = 2;
@@ -78,24 +65,23 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let (kind, body) = match self {
+    /// The record kind and body.
+    fn encode(&self) -> (u8, Vec<u8>) {
+        let mut b = Vec::new();
+        let kind = match self {
             WalRecord::Submit { id, spec } => {
-                let mut b = Vec::new();
                 put_u64(&mut b, *id);
                 put_bytes(&mut b, &spec.encode());
-                (REC_SUBMIT, b)
+                REC_SUBMIT
             }
             WalRecord::Start { id, attempt } => {
-                let mut b = Vec::new();
                 put_u64(&mut b, *id);
                 put_u32(&mut b, *attempt);
-                (REC_START, b)
+                REC_START
             }
             WalRecord::Done { id } => {
-                let mut b = Vec::new();
                 put_u64(&mut b, *id);
-                (REC_DONE, b)
+                REC_DONE
             }
             WalRecord::Fail {
                 id,
@@ -103,34 +89,23 @@ impl WalRecord {
                 terminal,
                 message,
             } => {
-                let mut b = Vec::new();
                 put_u64(&mut b, *id);
                 put_u32(&mut b, *attempt);
                 b.push(u8::from(*terminal));
                 put_str(&mut b, message);
-                (REC_FAIL, b)
+                REC_FAIL
             }
         };
-        let mut rec = Vec::with_capacity(13 + body.len());
-        rec.push(kind);
-        put_u32(&mut rec, body.len() as u32);
-        rec.extend_from_slice(&body);
-        let check = fnv1a(&rec);
-        put_u64(&mut rec, check);
-        rec
+        (kind, b)
     }
 
-    fn decode_body(kind: u8, body: &[u8]) -> Option<WalRecord> {
+    fn decode(kind: u8, body: &[u8]) -> Option<WalRecord> {
         let mut c = Cursor::new(body);
         let rec = match kind {
-            REC_SUBMIT => {
-                let id = c.u64()?;
-                let spec_bytes = c.bytes()?;
-                WalRecord::Submit {
-                    id,
-                    spec: JobSpec::decode(&spec_bytes)?,
-                }
-            }
+            REC_SUBMIT => WalRecord::Submit {
+                id: c.u64()?,
+                spec: JobSpec::decode(c.bytes(MAX_FRAME_LEN as usize)?)?,
+            },
             REC_START => WalRecord::Start {
                 id: c.u64()?,
                 attempt: c.u32()?,
@@ -144,50 +119,22 @@ impl WalRecord {
             },
             _ => return None,
         };
-        if !c.done() {
-            return None;
-        }
-        Some(rec)
+        c.done().then_some(rec)
     }
 }
 
-/// Decode a WAL byte image (past the magic header), stopping at the
-/// first torn or corrupt record. Returns the records plus the byte
-/// length of the valid prefix (magic included), so callers can truncate
-/// the tail away.
+/// Decode a WAL byte image, stopping at the first torn, corrupt or
+/// undecodable record. Returns the records plus the byte length of the
+/// valid prefix (magic included; 0 for a foreign file).
+#[must_use]
 pub fn decode_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    if bytes.len() < JOBS_WAL_MAGIC.len() || &bytes[..JOBS_WAL_MAGIC.len()] != JOBS_WAL_MAGIC {
-        return (records, 0);
-    }
-    let mut pos = JOBS_WAL_MAGIC.len();
-    while let Some(header) = bytes.get(pos..pos + 5) {
-        let kind = header[0];
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes"));
-        if len > MAX_RECORD {
-            break;
-        }
-        let total = 5 + len as usize + 8;
-        let Some(rec) = bytes.get(pos..pos + total) else {
-            break;
-        };
-        let check = u64::from_le_bytes(rec[total - 8..].try_into().expect("8 bytes"));
-        if check != fnv1a(&rec[..total - 8]) {
-            break;
-        }
-        let Some(decoded) = WalRecord::decode_body(kind, &rec[5..total - 8]) else {
-            break;
-        };
-        records.push(decoded);
-        pos += total;
-    }
-    (records, pos)
+    durable::decode(bytes, JOBS_WAL_MAGIC, WalRecord::decode)
 }
 
 /// The open, append-only job WAL.
 #[derive(Debug)]
 pub struct JobWal {
-    file: Mutex<File>,
+    log: Mutex<Log>,
     path: PathBuf,
 }
 
@@ -196,8 +143,7 @@ impl JobWal {
     ///
     /// A torn tail is discarded *and truncated off the file*, so the
     /// next append continues a clean log. A file with an unrecognized
-    /// magic is reset to an empty log (fail-open, mirroring the trace
-    /// store's handling of foreign journals).
+    /// magic is reset to an empty log.
     ///
     /// # Errors
     ///
@@ -205,43 +151,12 @@ impl JobWal {
     /// unusable).
     pub fn open(state_dir: &Path) -> io::Result<(JobWal, Vec<WalRecord>)> {
         let path = state_dir.join(JOBS_WAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (records, valid_len) = if bytes.is_empty() {
-            file.write_all(JOBS_WAL_MAGIC)?;
-            file.sync_data()?;
-            (Vec::new(), JOBS_WAL_MAGIC.len())
-        } else {
-            let (records, valid_len) = decode_wal(&bytes);
-            if valid_len == 0 {
-                // Foreign or pre-magic file: reset to an empty log.
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(JOBS_WAL_MAGIC)?;
-                file.sync_data()?;
-                (Vec::new(), JOBS_WAL_MAGIC.len())
-            } else {
-                if valid_len < bytes.len() {
-                    file.set_len(valid_len as u64)?;
-                    file.sync_data()?;
-                }
-                (records, valid_len)
-            }
+        let (log, records) = Log::open(&path, JOBS_WAL_MAGIC, WalRecord::decode)?;
+        let wal = JobWal {
+            log: Mutex::new(log),
+            path,
         };
-        file.seek(SeekFrom::Start(valid_len as u64))?;
-        Ok((
-            JobWal {
-                file: Mutex::new(file),
-                path,
-            },
-            records,
-        ))
+        Ok((wal, records))
     }
 
     /// Durably append one record (`write` + `sync_data` before return).
@@ -251,11 +166,8 @@ impl JobWal {
     /// The underlying I/O error; the caller must treat the transition as
     /// not having happened.
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
-        let bytes = record.encode();
-        let mut file = self.file.lock().expect("job WAL lock");
-        file.write_all(&bytes)?;
-        file.sync_data()?;
-        Ok(())
+        let (kind, body) = record.encode();
+        self.log.lock().expect("job WAL lock").append(kind, &body)
     }
 
     /// Path of the WAL file.
@@ -313,6 +225,45 @@ mod tests {
         drop(wal);
         let (_, recovered) = JobWal::open(&dir).unwrap();
         assert_eq!(recovered, records);
+    }
+
+    #[test]
+    fn record_encoding_is_pinned() {
+        // A journal written by any earlier build must replay unchanged.
+        const PINNED: &str = "4443474a574c3031\
+            011e0000008877665544332211120000000104000000677a69702a000000000000\
+            00011cc06e6b45eb1ae5\
+            020c000000887766554433221101000000f806c83c5480de2d\
+            04190000008877665544332211010000000008000000646561646c696e65d9badc09ab5a24dd\
+            030800000088776655443322117add442d0d76f88f";
+        let id = 0x1122_3344_5566_7788;
+        let records = [
+            WalRecord::Submit {
+                id,
+                spec: JobSpec::Simulate {
+                    bench: "gzip".into(),
+                    seed: 42,
+                    quick: true,
+                },
+            },
+            WalRecord::Start { id, attempt: 1 },
+            WalRecord::Fail {
+                id,
+                attempt: 1,
+                terminal: false,
+                message: "deadline".into(),
+            },
+            WalRecord::Done { id },
+        ];
+        let dir = scratch("pinned");
+        let (wal, _) = JobWal::open(&dir).unwrap();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        let bytes = std::fs::read(wal.path()).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
+        assert_eq!(decode_wal(&bytes), (records.to_vec(), bytes.len()));
     }
 
     #[test]

@@ -170,4 +170,15 @@ fn kill_mid_campaign_then_drain_reproduces_identical_results() {
             "{name}: resumed result must be byte-identical to the reference"
         );
     }
+    // The commit the crash interrupted left a temp file behind; the
+    // resumed server reaps it.
+    let leftovers: Vec<String> = std::fs::read_dir(state.join(JOBS_DIR))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| !(name.starts_with("job-") && name.ends_with(".json")))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "jobs/ must hold only result documents: {leftovers:?}"
+    );
 }

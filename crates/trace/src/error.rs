@@ -1,10 +1,8 @@
-//! Trace-file errors.
+//! Activity-trace errors.
 
 use std::error::Error;
 use std::fmt;
 use std::io;
-
-use dcg_isa::DecodeWordError;
 
 /// Error reading or writing a trace file.
 #[derive(Debug)]
@@ -13,18 +11,13 @@ pub enum TraceError {
     Io(io::Error),
     /// The file does not start with the trace magic.
     BadMagic([u8; 8]),
-    /// The file's format version is newer than this reader.
+    /// The file's format version is not the one this reader speaks.
     UnsupportedVersion(u32),
-    /// A record failed instruction-level validation.
-    Corrupt(DecodeWordError),
     /// The benchmark-name field is not valid UTF-8 or is oversized.
     BadName,
     /// An activity record failed structural validation (out-of-range
     /// field, unknown flag bit, oversized count).
     BadActivity(&'static str),
-    /// The trace is well-formed but holds no instructions (a replay
-    /// stream needs at least one).
-    Empty,
 }
 
 impl fmt::Display for TraceError {
@@ -33,10 +26,8 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::BadMagic(m) => write!(f, "not a trace file (magic {m:02x?})"),
             TraceError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceError::Corrupt(e) => write!(f, "corrupt trace record: {e}"),
             TraceError::BadName => f.write_str("invalid benchmark name in header"),
             TraceError::BadActivity(why) => write!(f, "corrupt activity record: {why}"),
-            TraceError::Empty => f.write_str("trace holds no instructions"),
         }
     }
 }
@@ -45,7 +36,6 @@ impl Error for TraceError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
-            TraceError::Corrupt(e) => Some(e),
             _ => None,
         }
     }
@@ -54,12 +44,6 @@ impl Error for TraceError {
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
         TraceError::Io(e)
-    }
-}
-
-impl From<DecodeWordError> for TraceError {
-    fn from(e: DecodeWordError) -> Self {
-        TraceError::Corrupt(e)
     }
 }
 
@@ -80,17 +64,10 @@ mod tests {
         let ver = TraceError::UnsupportedVersion(99);
         assert!(ver.to_string().contains("99"));
 
-        let corrupt = TraceError::from(DecodeWordError::Malformed);
-        assert!(corrupt.source().is_some());
-
         assert!(!TraceError::BadName.to_string().is_empty());
 
         let act = TraceError::BadActivity("grant class out of range");
         assert!(act.to_string().contains("grant class"));
         assert!(act.source().is_none());
-
-        let empty = TraceError::Empty;
-        assert!(empty.to_string().contains("no instructions"));
-        assert!(empty.source().is_none());
     }
 }

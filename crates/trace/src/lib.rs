@@ -1,50 +1,53 @@
-//! # dcg-trace — compact instruction-trace files
+//! # dcg-trace — recorded activity traces
 //!
-//! Record a workload once, replay it bit-exactly forever: the trace format
-//! captures the full dynamic instruction stream (operands, effective
-//! addresses, branch outcomes) the way production trace-driven simulators
-//! archive their inputs.
+//! Simulate once, replay forever: an activity trace stores the full
+//! per-cycle [`dcg_sim::CycleActivity`] stream of one simulation — every
+//! usage count and advance-knowledge signal — so passive gating
+//! policies, power accounting and statistics replay bit-identically
+//! without re-running the pipeline. The trace store in `dcg-core` keeps
+//! one such trace per `(config, workload, seed, run length)` tuple.
 //!
-//! The encoding exploits the streams' sequential consistency — an
-//! instruction whose PC is its predecessor's successor (nearly all of
-//! them) stores no PC — and varint-codes everything else; typical traces
-//! land around 4-8 bytes per instruction versus 24 for the raw
-//! [`dcg_isa::encode_word`] triple.
+//! The format is a header carrying the producing run's identity, then
+//! checksummed columnar blocks of up to [`dcg_sim::BLOCK_CYCLES`] cycles,
+//! then a trailer with totals and a checksum over the block subheaders
+//! (DESIGN.md §9 and §13 describe the layout). Open verifies the
+//! trailer; each block's payload is verified when the decoder first
+//! enters it. [`TraceData`] serves the bytes zero-copy from an `mmap(2)`
+//! view where available.
 //!
 //! ```
-//! use dcg_trace::{TraceReader, TraceWriter};
-//! use dcg_workloads::{InstStream, Spec2000, SyntheticWorkload};
+//! use dcg_sim::CycleActivity;
+//! use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter};
 //!
 //! # fn main() -> Result<(), dcg_trace::TraceError> {
-//! // Record 1000 instructions of gzip.
-//! let mut workload = SyntheticWorkload::new(Spec2000::by_name("gzip").unwrap(), 1);
-//! let mut buf = Vec::new();
-//! let mut writer = TraceWriter::new(&mut buf, "gzip")?;
-//! for _ in 0..1000 {
-//!     writer.write_inst(&workload.next_inst())?;
+//! let header = ActivityHeader::new("gzip", 0xfeed, 1, 0, 3, 4)?;
+//! let mut writer = ActivityTraceWriter::new(Vec::new(), &header)?;
+//! let cycle = CycleActivity {
+//!     committed: 1,
+//!     latch_occupancy: vec![0; 4],
+//!     ..CycleActivity::default()
+//! };
+//! for _ in 0..3 {
+//!     writer.write_cycle(&cycle)?;
 //! }
-//! writer.finish()?;
+//! let bytes = writer.finish()?;
 //!
-//! // Replay: identical stream, loadable anywhere.
-//! let replay = TraceReader::new(&buf[..])?.into_replay()?;
-//! assert_eq!(replay.period(), 1000);
+//! let mut reader = ActivityTraceReader::new(&bytes[..])?;
+//! assert_eq!(reader.verified_totals(), Some((3, 3)));
+//! let mut replayed = CycleActivity::default();
+//! assert!(reader.read_cycle(&mut replayed)?);
+//! assert_eq!((replayed.cycle, replayed.committed), (1, 1));
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The `tracetool` binary records, inspects and verifies trace files from
-//! the command line.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 mod activity;
 mod error;
-mod format;
 mod mmap;
-mod reader;
 mod varint;
-mod writer;
 
 pub use activity::{
     payload_checksum, ActivityHeader, ActivityTraceReader, ActivityTraceWriter,
@@ -52,7 +55,4 @@ pub use activity::{
     ACTIVITY_TRAILER_MAGIC, ACTIVITY_VERSION, MAX_GRANTS, MAX_GROUPS,
 };
 pub use error::TraceError;
-pub use format::{Header, MAGIC, VERSION};
 pub use mmap::TraceData;
-pub use reader::TraceReader;
-pub use writer::TraceWriter;

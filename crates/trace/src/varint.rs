@@ -1,8 +1,7 @@
 //! LEB128 variable-length integer encoding.
 //!
-//! Trace files store one packed word and (for memory/branch instructions)
-//! one address per instruction; varints shrink the common small values —
-//! the dominant share of trace bytes — to a few bytes each.
+//! Activity traces store header lengths and every nonzero column value
+//! as a varint; most values are small, so they take a byte or two.
 
 use std::io::{self, Read, Write};
 

@@ -1,192 +1,11 @@
-//! Property tests: the trace encoding is exact for arbitrary well-formed
-//! instruction sequences, compact for realistic ones, and fails *cleanly*
-//! (never panics) on corrupted input.
+//! Property tests: the activity-trace encoding is exact for arbitrary
+//! per-cycle records and fails *cleanly* (never panics) on corrupted or
+//! truncated input.
 
-use dcg_isa::{ArchReg, BranchInfo, BranchKind, FuClass, Inst, MemRef, OpClass};
+use dcg_isa::FuClass;
 use dcg_sim::{CycleActivity, FuGrant};
 use dcg_testkit::prop::{self, Gen};
-use dcg_trace::{
-    ActivityHeader, ActivityTraceReader, ActivityTraceWriter, TraceReader, TraceWriter,
-    ACTIVITY_TRAILER_LEN,
-};
-use dcg_workloads::{InstStream, Spec2000, SyntheticWorkload};
-
-fn arb_inst() -> Gen<Inst> {
-    prop::tuple((
-        0usize..OpClass::COUNT,
-        prop::option(0u8..64),
-        prop::option(0u8..64),
-        prop::option(0u8..64),
-        prop::any_u64(),
-        prop::any_bool(),
-        prop::any_u64(),
-        0usize..4,
-    ))
-    .map(|(op_idx, d, s0, s1, addr, taken, target, kind)| {
-        let op = OpClass::from_index(op_idx).expect("in range");
-        let reg = |o: Option<u8>| o.and_then(ArchReg::from_dense);
-        let kind = BranchKind::ALL[kind];
-        Inst {
-            pc: 0,
-            op,
-            dest: if op.writes_result() { reg(d) } else { None },
-            srcs: [reg(s0), reg(s1)],
-            mem: op.is_mem().then(|| MemRef::new(addr & !7, 8)),
-            branch: (op == OpClass::Branch).then(|| BranchInfo {
-                kind,
-                taken: taken || kind.is_unconditional(),
-                target: target & !3,
-            }),
-        }
-    })
-}
-
-/// A sequentially consistent random sequence: each instruction's PC is the
-/// previous one's successor.
-fn arb_sequence(len: usize) -> Gen<Vec<Inst>> {
-    prop::vec(arb_inst(), 0..=len).map(|mut insts| {
-        let mut pc = 0x1000u64;
-        for inst in &mut insts {
-            inst.pc = pc;
-            pc = inst.successor_pc();
-        }
-        insts
-    })
-}
-
-#[test]
-fn roundtrip_any_sequence() {
-    prop::check("roundtrip_any_sequence", arb_sequence(200), |insts| {
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf, "prop").expect("header");
-        for i in &insts {
-            w.write_inst(i).expect("write");
-        }
-        w.finish().expect("finish");
-        let back = TraceReader::new(&buf[..])
-            .expect("header")
-            .read_all()
-            .expect("decode");
-        assert_eq!(back, insts);
-    });
-}
-
-#[test]
-fn arbitrary_byte_tails_never_panic() {
-    // A valid header followed by arbitrary bytes must decode to clean
-    // records then fail cleanly — never panic.
-    prop::check(
-        "arbitrary_byte_tails_never_panic",
-        prop::vec(0u8..=255, 0..256usize),
-        |garbage| {
-            let mut buf = Vec::new();
-            TraceWriter::new(&mut buf, "fuzz").expect("header");
-            buf.extend(garbage);
-            let mut r = match TraceReader::new(&buf[..]) {
-                Ok(r) => r,
-                Err(_) => return,
-            };
-            while let Ok(Some(_)) = r.read_inst() {}
-        },
-    );
-}
-
-#[test]
-fn truncated_streams_error_cleanly() {
-    // Any proper prefix of a valid trace body (truncating mid-record, and
-    // therefore usually mid-varint) must produce `Err`, not a panic.
-    prop::check(
-        "truncated_streams_error_cleanly",
-        prop::tuple((arb_sequence(50), prop::any_u64())),
-        |(insts, cut_choice)| {
-            let header_len = {
-                let mut hdr = Vec::new();
-                TraceWriter::new(&mut hdr, "cut").expect("header");
-                hdr.len()
-            };
-            let mut buf = Vec::new();
-            let mut w = TraceWriter::new(&mut buf, "cut").expect("header");
-            for i in &insts {
-                w.write_inst(i).expect("write");
-            }
-            w.finish().expect("finish");
-            if buf.len() <= header_len + 1 {
-                return; // empty body: nothing to truncate
-            }
-            // Cut somewhere strictly inside the body.
-            let cut = header_len + 1 + (cut_choice as usize) % (buf.len() - header_len - 1);
-            let mut r = TraceReader::new(&buf[..cut]).expect("header still intact");
-            let mut decoded = 0usize;
-            let err = loop {
-                match r.read_inst() {
-                    Ok(Some(_)) => decoded += 1,
-                    // A cut exactly on a record boundary reads as clean EOF.
-                    Ok(None) => return,
-                    Err(e) => break e,
-                }
-            };
-            assert!(decoded <= insts.len());
-            let _ = format!("{err}"); // error is displayable, not a panic
-        },
-    );
-}
-
-#[test]
-fn corrupted_header_is_a_clean_err() {
-    // Flipping any single byte of the magic must yield Err (bad header).
-    let mut buf = Vec::new();
-    TraceWriter::new(&mut buf, "hdr").expect("header");
-    for i in 0..8 {
-        let mut bad = buf.clone();
-        bad[i] ^= 0xFF;
-        assert!(
-            TraceReader::new(&bad[..]).is_err(),
-            "corrupt magic byte {i} must be rejected"
-        );
-    }
-    // A header truncated mid-magic is also a clean Err.
-    assert!(TraceReader::new(&buf[..4]).is_err());
-}
-
-#[test]
-fn overlong_varint_in_body_is_a_clean_err() {
-    // A syntactically invalid varint (11 continuation bytes) inside the
-    // body must surface as Err from the reader.
-    let mut buf = Vec::new();
-    TraceWriter::new(&mut buf, "ovl").expect("header");
-    buf.extend([0x80u8; 11]);
-    let mut r = TraceReader::new(&buf[..]).expect("header");
-    let mut saw_err = false;
-    loop {
-        match r.read_inst() {
-            Ok(Some(_)) => {}
-            Ok(None) => break,
-            Err(_) => {
-                saw_err = true;
-                break;
-            }
-        }
-    }
-    assert!(saw_err, "overlong varint must error, not EOF silently");
-}
-
-#[test]
-fn synthetic_traces_are_compact() {
-    for name in ["gzip", "mcf", "swim"] {
-        let mut w = SyntheticWorkload::new(Spec2000::by_name(name).unwrap(), 7);
-        let mut buf = Vec::new();
-        let mut writer = TraceWriter::new(&mut buf, name).expect("header");
-        let n = 50_000;
-        for _ in 0..n {
-            writer.write_inst(&w.next_inst()).expect("write");
-        }
-        let bytes_per_inst = writer.bytes() as f64 / f64::from(n);
-        assert!(
-            bytes_per_inst < 10.0,
-            "{name}: {bytes_per_inst:.1} B/inst is not compact (raw is 24)"
-        );
-    }
-}
+use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter, ACTIVITY_TRAILER_LEN};
 
 /// Latch-group count used by all activity-frame property tests.
 const ACT_GROUPS: usize = 6;
@@ -345,25 +164,4 @@ fn activity_truncated_streams_error_cleanly() {
             assert!(decoded <= cycles.len());
         },
     );
-}
-
-#[test]
-fn recorded_workload_replays_identically() {
-    let profile = Spec2000::by_name("twolf").unwrap();
-    let mut original = SyntheticWorkload::new(profile, 3);
-    let mut buf = Vec::new();
-    let mut writer = TraceWriter::new(&mut buf, "twolf").expect("header");
-    let recorded: Vec<Inst> = (0..20_000).map(|_| original.next_inst()).collect();
-    for i in &recorded {
-        writer.write_inst(i).expect("write");
-    }
-    writer.finish().expect("finish");
-
-    let mut replay = TraceReader::new(&buf[..])
-        .expect("header")
-        .into_replay()
-        .expect("load");
-    for (k, want) in recorded.iter().enumerate() {
-        assert_eq!(replay.next_inst(), *want, "divergence at {k}");
-    }
 }

@@ -18,7 +18,7 @@
 //! | [`sim`] | `dcg-sim` | the out-of-order pipeline substrate |
 //! | [`power`] | `dcg-power` | the per-component energy model |
 //! | [`core`] | `dcg-core` | **DCG** (the paper's contribution) + PLB |
-//! | [`trace`] | `dcg-trace` | compact instruction-trace record/replay |
+//! | [`trace`] | `dcg-trace` | recorded activity traces (simulate once, replay) |
 //! | [`experiments`] | `dcg-experiments` | figure/table regeneration |
 //! | [`server`] | `dcg-server` | crash-resumable experiment daemon + client |
 //!
