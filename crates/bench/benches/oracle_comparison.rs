@@ -6,9 +6,9 @@
 //! DCG's claim is that *realizable* advance knowledge captures essentially
 //! all of that headroom; this bench quantifies the gap.
 
-use dcg_core::{run_oracle, run_passive, Dcg, NoGating, RunLength};
+use dcg_core::{run_passive_with_sinks, ClairvoyantSink, Dcg, NoGating, RunLength};
 use dcg_experiments::FigureTable;
-use dcg_sim::{LatchGroups, SimConfig};
+use dcg_sim::{LatchGroups, Processor, SimConfig};
 use dcg_workloads::{Spec2000, SyntheticWorkload};
 
 fn main() {
@@ -24,16 +24,20 @@ fn main() {
         let profile = Spec2000::by_name(bench).expect("known");
         let mut baseline = NoGating::new(&cfg, &groups);
         let mut dcg = Dcg::new(&cfg, &groups);
-        let run = run_passive(
+        let mut clairvoyant = ClairvoyantSink::new(&cfg, &groups);
+        let mut cpu = Processor::new(cfg.clone(), SyntheticWorkload::new(profile, 42));
+        let run = run_passive_with_sinks(
             &cfg,
-            SyntheticWorkload::new(profile, 42),
+            &mut cpu,
             length,
             &mut [&mut baseline, &mut dcg],
-        );
+            &mut [&mut clairvoyant],
+        )
+        .expect("a live simulation source cannot fail");
         let base = &run.outcomes[0].report;
         let dcg_saving = 100.0 * run.outcomes[1].report.power_saving_vs(base);
 
-        let oracle = run_oracle(&cfg, SyntheticWorkload::new(profile, 42), length);
+        let oracle = clairvoyant.into_styles().oracle();
         let oracle_saving = 100.0 * oracle.report.power_saving_vs(base);
         t.push_row(
             bench,

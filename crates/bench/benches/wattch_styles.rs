@@ -4,9 +4,9 @@
 //! advance-knowledge controller — should land between cc1 and cc2 and
 //! above cc3's conventional 10 %-floor variant.
 
-use dcg_core::{run_passive, run_wattch_styles, Dcg, NoGating, RunLength};
+use dcg_core::{run_passive_with_sinks, ClairvoyantSink, Dcg, NoGating, RunLength};
 use dcg_experiments::FigureTable;
-use dcg_sim::{LatchGroups, SimConfig};
+use dcg_sim::{LatchGroups, Processor, SimConfig};
 use dcg_workloads::{Spec2000, SyntheticWorkload};
 
 fn main() {
@@ -22,17 +22,21 @@ fn main() {
         let profile = Spec2000::by_name(bench).expect("known");
         let mut baseline = NoGating::new(&cfg, &groups);
         let mut dcg = Dcg::new(&cfg, &groups);
-        let run = run_passive(
+        let mut clairvoyant = ClairvoyantSink::new(&cfg, &groups);
+        let mut cpu = Processor::new(cfg.clone(), SyntheticWorkload::new(profile, 42));
+        let run = run_passive_with_sinks(
             &cfg,
-            SyntheticWorkload::new(profile, 42),
+            &mut cpu,
             length,
             &mut [&mut baseline, &mut dcg],
-        );
+            &mut [&mut clairvoyant],
+        )
+        .expect("a live simulation source cannot fail");
         let dcg_saving = 100.0
             * run.outcomes[1]
                 .report
                 .power_saving_vs(&run.outcomes[0].report);
-        let styles = run_wattch_styles(&cfg, SyntheticWorkload::new(profile, 42), length);
+        let styles = clairvoyant.into_styles();
         t.push_row(
             bench,
             vec![

@@ -414,7 +414,7 @@ fn alu_sweep_scalar_replay(
     cfg: &dcg_experiments::ExperimentConfig,
     cache: &dcg_core::TraceCache,
 ) -> (Vec<(String, Vec<u64>)>, u64, u64) {
-    use dcg_core::{run_passive_source, ActivitySource, NoGating, RunLength};
+    use dcg_core::{run_passive_with_sinks, ActivitySource, NoGating, RunLength};
     use dcg_sim::{LatchGroups, SimConfig};
 
     let mut rows: Vec<(String, Vec<u64>)> = Vec::new();
@@ -441,8 +441,14 @@ fn alu_sweep_scalar_replay(
                     .expect("warm cache entry for every sweep point");
                 let mut source = ScalarReplay(replay);
                 let mut policy = NoGating::new(&alu_cfg, &groups);
-                let run = run_passive_source(&alu_cfg, &mut source, length, &mut [&mut policy])
-                    .expect("validated entry replays");
+                let run = run_passive_with_sinks(
+                    &alu_cfg,
+                    &mut source,
+                    length,
+                    &mut [&mut policy],
+                    &mut [],
+                )
+                .expect("validated entry replays");
                 cycles += source.cycle();
                 run.stats.ipc()
             })
@@ -599,7 +605,7 @@ pub fn run_alu_sweep_cache() -> std::io::Result<PathBuf> {
 /// `crates/bench/results/kernel_stream.json` **and** the repo-root
 /// `BENCH_kernels.json` perf-trajectory file.
 pub fn run_kernel_stream() -> std::io::Result<PathBuf> {
-    use dcg_core::{Dcg, NoGating, TraceCache};
+    use dcg_core::{run_passive_with_sinks, Dcg, NoGating, TraceCache};
     use dcg_experiments::{kernel_run_length, KERNEL_SEED};
     use dcg_sim::{LatchGroups, SimConfig};
     use dcg_testkit::bench::time;
@@ -618,17 +624,18 @@ pub fn run_kernel_stream() -> std::io::Result<PathBuf> {
     let run_cached = |k: &Kernel| {
         let mut baseline = NoGating::new(&sim, &groups);
         let mut dcg = Dcg::new(&sim, &groups);
-        cache
-            .run_passive_cached_stream(
-                &sim,
-                k.name,
-                KERNEL_SEED,
-                length,
-                || k.stream(),
-                &mut [&mut baseline, &mut dcg],
-                &mut [],
-            )
-            .expect("kernel stream replays")
+        let mut source =
+            TraceCache::source(Some(&cache), &sim, k.name, KERNEL_SEED, length, || {
+                k.stream()
+            });
+        let run = run_passive_with_sinks(
+            &sim,
+            &mut source,
+            length,
+            &mut [&mut baseline, &mut dcg],
+            &mut [],
+        );
+        source.finish(run).expect("kernel stream replays")
     };
 
     let mut entries = Vec::new();

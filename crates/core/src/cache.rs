@@ -4,8 +4,16 @@
 //! same `(configuration, workload, seed, run length)` tuple — parameter
 //! sweeps, figure regeneration, calibration probes — need the timing
 //! simulation only **once**: the first run records its activity stream,
-//! and later runs replay it through [`crate::run_passive_source`] at a
-//! fraction of the cost.
+//! and later runs replay it at a fraction of the cost.
+//!
+//! The cache is a source decorator: [`TraceCache::source`] hands out one
+//! [`CachedSource`] per tuple — a replay on a hit, a live simulation that
+//! records on a miss, a plain live run when caching is off — which the
+//! caller drives like any other [`crate::ActivitySource`] (usually
+//! through [`crate::run_passive_with_sinks`]). [`CachedSource::finish`]
+//! then stores the recording or evicts a replay that failed mid-drive,
+//! and [`TraceCache::run_fail_open`] wraps the whole round trip with the
+//! one live retry.
 //!
 //! [`TraceCache`] is the workload-facing facade; the persistence layer
 //! underneath is [`crate::TraceStore`] — a manifest + write-ahead-journal
@@ -30,9 +38,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 
-use dcg_sim::{LatchGroups, Processor, SimConfig};
+use dcg_sim::{
+    ActivityBlock, CycleActivity, LatchGroups, Processor, ResourceConstraints, SimConfig, SimStats,
+};
 use dcg_trace::{
-    ActivityHeader, ActivityTraceReader, ActivityTraceWriter, ACTIVITY_SCHEMA, ACTIVITY_VERSION,
+    ActivityHeader, ActivityTraceReader, ActivityTraceWriter, TraceError, ACTIVITY_SCHEMA,
+    ACTIVITY_VERSION,
 };
 use dcg_workloads::{BenchmarkProfile, InstStream, SyntheticWorkload};
 
@@ -40,8 +51,7 @@ use crate::durable::{fnv1a, put_u32, put_u64};
 use crate::error::DcgError;
 use crate::policy::GatingPolicy;
 use crate::runner::{run_passive_with_sinks, PassiveRun, RunLength};
-use crate::sinks::{ActivitySink, RecorderSink};
-use crate::source::ReplaySource;
+use crate::source::{ActivitySource, ReplaySource};
 use crate::store::{EntryIdentity, RecoveryStats, StoreScan, TraceStore};
 
 /// Environment variable controlling [`TraceCache::from_env`]: unset for
@@ -61,8 +71,6 @@ static STORE_WARNING: Once = Once::new();
 static READONLY_NOTE: Once = Once::new();
 /// Gate for the once-per-process evict-failure warning.
 static EVICT_WARNING: Once = Once::new();
-/// Gate for the once-per-process replay-failure warning.
-static REPLAY_WARNING: Once = Once::new();
 /// Gate for the once-per-process recovery-dropped-entries warning.
 static RECOVERY_WARNING: Once = Once::new();
 /// Gate for the once-per-process relocated-default diagnostic.
@@ -84,7 +92,7 @@ pub struct CacheHealth {
     /// Invalid cache entries that could not be deleted.
     pub evict_failures: u64,
     /// Replay drives that failed mid-run on a validated entry (the entry
-    /// is evicted and the caller re-simulates live).
+    /// is evicted; [`TraceCache::run_fail_open`] re-simulates live).
     pub replay_failures: u64,
     /// Distinct tuples that collided on the 64-bit filename key and were
     /// stored under disambiguated names (both stay warm).
@@ -101,18 +109,6 @@ pub(crate) fn note_store_failure(path: &Path, what: &str) {
             "warning: trace cache store failed ({what}: {}); caching is \
              disabled in effect and every run will re-simulate \
              (further store failures are counted, not repeated here)",
-            path.display()
-        );
-    });
-}
-
-fn note_replay_failure(path: &Path, err: &DcgError) {
-    REPLAY_WARNING.call_once(|| {
-        eprintln!(
-            "warning: cached activity trace {} failed mid-replay ({err}); \
-             the entry is evicted and the run falls back to a live \
-             simulation (further replay failures are counted, not \
-             repeated here)",
             path.display()
         );
     });
@@ -343,20 +339,6 @@ impl TraceCache {
         self.store.lookup_all()
     }
 
-    /// Run a compaction pass now: drop stale-schema entries, enforce the
-    /// byte budget, checkpoint.
-    pub fn compact_now(&self) -> RecoveryStats {
-        self.store.compact_now()
-    }
-
-    /// Run compaction on a background thread (the store is shared, so
-    /// concurrent lookups proceed; compaction only deletes dead-schema
-    /// or over-budget entries). Join the handle to observe what it did.
-    pub fn spawn_compaction(&self) -> std::thread::JoinHandle<RecoveryStats> {
-        let store = Arc::clone(&self.store);
-        std::thread::spawn(move || store.compact_now())
-    }
-
     /// Content key for one `(config, workload, seed, length)` tuple.
     ///
     /// The key names entry *files*; identity is the full tuple (the
@@ -428,38 +410,6 @@ impl TraceCache {
         }
     }
 
-    /// Open `shards` validated replay sources over one shared view of
-    /// the tuple's entry, or `None` on a miss — the sharded batch driver
-    /// hands each worker its own reader without any worker copying the
-    /// payload (clones of [`dcg_trace::TraceData`] share the backing
-    /// mapping). Validation runs once; the extra readers re-parse only
-    /// the header and subheader chain.
-    pub fn replay_sources(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        shards: usize,
-    ) -> Option<Vec<ReplaySource>> {
-        let identity = Self::identity(config, name, seed, length);
-        let data = self.store.fetch_data(&identity)?;
-        let reader = match Self::validate_entry(config, name, seed, length, data.clone()) {
-            Ok(reader) => reader,
-            Err(()) => {
-                self.store.evict(&identity);
-                return None;
-            }
-        };
-        let mut out = Vec::with_capacity(shards.max(1));
-        out.push(ReplaySource::new(reader));
-        for _ in 1..shards.max(1) {
-            let reader = ActivityTraceReader::from_data(data.clone()).ok()?;
-            out.push(ReplaySource::new(reader));
-        }
-        Some(out)
-    }
-
     fn validate_entry(
         config: &SimConfig,
         name: &str,
@@ -486,25 +436,104 @@ impl TraceCache {
         Ok(reader)
     }
 
-    /// Evict the tuple's entry and count a replay failure.
-    fn evict_after_replay_failure(
-        &self,
+    /// The activity source for one `(config, workload, seed, length)`
+    /// tuple: a replay of the recorded trace on a hit, a live simulation
+    /// of `make_stream()` that records every cycle on a miss, and a plain
+    /// live simulation when `cache` is `None`. `make_stream` runs only
+    /// when the source is live (building a stream may be expensive —
+    /// e.g. a kernel program's emulator).
+    ///
+    /// Drive the source, then settle it with [`CachedSource::finish`].
+    /// Callers must keep `(name, seed)` → stream bijective: the cache
+    /// cannot tell two different streams apart if they share a name and
+    /// seed. Kernel names are distinct from every SPEC profile name, so
+    /// the two workload families never collide.
+    pub fn source<'c, S: InstStream>(
+        cache: Option<&'c TraceCache>,
         config: &SimConfig,
         name: &str,
         seed: u64,
         length: RunLength,
-        err: &DcgError,
-    ) {
-        let identity = Self::identity(config, name, seed, length);
-        let path = self
-            .store
-            .entry_path(&identity, Self::key(config, name, seed, length));
-        self.store
-            .health
-            .replay_failures
-            .fetch_add(1, Ordering::Relaxed);
-        note_replay_failure(&path, err);
-        self.store.evict(&identity);
+        make_stream: impl FnOnce() -> S,
+    ) -> CachedSource<'c, S> {
+        let Some(cache) = cache else {
+            return CachedSource {
+                feed: Feed::Live(Box::new(Processor::new(config.clone(), make_stream()))),
+            };
+        };
+        let slot = Slot {
+            cache,
+            identity: Self::identity(config, name, seed, length),
+            key: Self::key(config, name, seed, length),
+        };
+        if let Some(replay) = cache.replay_source(config, name, seed, length) {
+            return CachedSource {
+                feed: Feed::Replay(slot, Box::new(replay)),
+            };
+        }
+        let cpu = Processor::new(config.clone(), make_stream());
+        let header = ActivityHeader::new(
+            name,
+            config.digest(),
+            seed,
+            length.warmup_insts,
+            length.measure_insts,
+            cpu.latch_groups().len(),
+        )
+        .expect("activity header for a valid workload name");
+        let writer = ActivityTraceWriter::new(Vec::new(), &header).expect("in-memory header write");
+        CachedSource {
+            feed: Feed::Record(
+                slot,
+                Box::new(Recording {
+                    cpu,
+                    writer,
+                    error: None,
+                }),
+            ),
+        }
+    }
+
+    /// Drive `pass` over the tuple's [`TraceCache::source`] and settle
+    /// it, failing open: when a cached replay fails mid-drive, the entry
+    /// is evicted and counted ([`CachedSource::finish`]), one warning
+    /// names the tuple, and `pass` runs again over a plain live
+    /// simulation. Correct results either way, just without the replay
+    /// speedup.
+    ///
+    /// `pass` must build its policies and sinks afresh on every call: the
+    /// failed drive already fed the first set part of a stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pass` fails on the live retry (a live simulation source
+    /// cannot fail, so only `pass`'s own error can surface there).
+    pub fn run_fail_open<S: InstStream, R>(
+        cache: Option<&TraceCache>,
+        config: &SimConfig,
+        name: &str,
+        seed: u64,
+        length: RunLength,
+        make_stream: impl Fn() -> S,
+        mut pass: impl FnMut(&mut CachedSource<'_, S>) -> Result<R, DcgError>,
+    ) -> R {
+        let mut source = Self::source(cache, config, name, seed, length, &make_stream);
+        let result = pass(&mut source);
+        source.finish(result).unwrap_or_else(|e| {
+            eprintln!(
+                "warning: {name}: cached replay failed ({e}); the entry is evicted \
+                 and the run re-simulates live"
+            );
+            pass(&mut Self::source(
+                None,
+                config,
+                name,
+                seed,
+                length,
+                make_stream,
+            ))
+            .expect("a live simulation source cannot fail")
+        })
     }
 
     /// [`crate::run_passive`] with transparent caching: replay the
@@ -516,8 +545,9 @@ impl TraceCache {
     /// Fails only if a *validated* cache entry still fails mid-replay
     /// (I/O fault after validation). The entry is evicted and counted in
     /// [`CacheHealth::replay_failures`]; the caller must retry with
-    /// **fresh** policies and sinks — the failed drive already fed them
-    /// part of a stream, so reusing them would corrupt results.
+    /// **fresh** policies — the failed drive already fed them part of a
+    /// stream, so reusing them would corrupt results
+    /// ([`TraceCache::run_fail_open`] does exactly that).
     ///
     /// # Panics
     ///
@@ -530,171 +560,19 @@ impl TraceCache {
         length: RunLength,
         policies: &mut [&mut dyn GatingPolicy],
     ) -> Result<PassiveRun, DcgError> {
-        self.run_passive_cached_with(config, profile, seed, length, policies, &mut [])
+        let mut source = Self::source(Some(self), config, profile.name, seed, length, || {
+            SyntheticWorkload::new(profile, seed)
+        });
+        let run = run_passive_with_sinks(config, &mut source, length, policies, &mut []);
+        source.finish(run)
     }
 
-    /// [`TraceCache::run_passive_cached`] with additional sinks riding on
-    /// the same pass — hit or miss, the extra sinks observe the identical
-    /// activity stream, so a [`crate::MetricsSink`] attached here yields
-    /// bit-identical metrics either way.
+    /// IPC-only cached run — the cheapest query the store can answer
+    /// ([`CachedSource::measured_ipc`] on the tuple's source).
     ///
     /// # Errors
     ///
     /// As [`TraceCache::run_passive_cached`].
-    pub fn run_passive_cached_with(
-        &self,
-        config: &SimConfig,
-        profile: BenchmarkProfile,
-        seed: u64,
-        length: RunLength,
-        policies: &mut [&mut dyn GatingPolicy],
-        extra: &mut [&mut dyn ActivitySink],
-    ) -> Result<PassiveRun, DcgError> {
-        self.run_passive_cached_stream(
-            config,
-            profile.name,
-            seed,
-            length,
-            || SyntheticWorkload::new(profile, seed),
-            policies,
-            extra,
-        )
-    }
-
-    /// The general form of [`TraceCache::run_passive_cached_with`]: cache
-    /// a run of *any* deterministic [`InstStream`], keyed by `name` and
-    /// `seed`. `make_stream` is only invoked on a cache miss (building a
-    /// stream may be expensive — e.g. a kernel program's emulator).
-    ///
-    /// Callers must keep `(name, seed)` → stream bijective: the cache
-    /// cannot tell two different streams apart if they share a name and
-    /// seed. Kernel names are distinct from every SPEC profile name, so
-    /// the two workload families never collide.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_passive_cached`].
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::run_passive`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_passive_cached_stream<S, F>(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        make_stream: F,
-        policies: &mut [&mut dyn GatingPolicy],
-        extra: &mut [&mut dyn ActivitySink],
-    ) -> Result<PassiveRun, DcgError>
-    where
-        S: InstStream,
-        F: FnOnce() -> S,
-    {
-        if let Some(mut replay) = self.replay_source(config, name, seed, length) {
-            match run_passive_with_sinks(config, &mut replay, length, policies, extra) {
-                Ok(run) => return Ok(run),
-                Err(e) => {
-                    // The entry validated but would not drive the run:
-                    // evict it so the next attempt misses and simulates
-                    // live, then surface the error — the caller's
-                    // policies have consumed a partial stream and must be
-                    // rebuilt before retrying.
-                    self.evict_after_replay_failure(config, name, seed, length, &e);
-                    return Err(e);
-                }
-            }
-        }
-
-        let mut cpu = Processor::new(config.clone(), make_stream());
-        let groups = cpu.latch_groups().len();
-        let header = ActivityHeader::new(
-            name,
-            config.digest(),
-            seed,
-            length.warmup_insts,
-            length.measure_insts,
-            groups,
-        )
-        .expect("activity header for a valid workload name");
-        let writer = ActivityTraceWriter::new(Vec::new(), &header).expect("in-memory header write");
-        let mut recorder = RecorderSink::new(writer);
-        let run = {
-            let mut sinks: Vec<&mut dyn ActivitySink> = Vec::with_capacity(extra.len() + 1);
-            for e in extra.iter_mut() {
-                sinks.push(&mut **e);
-            }
-            sinks.push(&mut recorder);
-            run_passive_with_sinks(config, &mut cpu, length, policies, &mut sinks)
-                .expect("a live simulation source cannot fail")
-        };
-        if let Ok(bytes) = recorder.finish() {
-            self.store.insert(
-                &Self::identity(config, name, seed, length),
-                Self::key(config, name, seed, length),
-                &bytes,
-            );
-        }
-        Ok(run)
-    }
-
-    /// Stats-only cached run: [`crate::run_stats_source`] on a hit (the
-    /// blockwise fold — no power model, no policy state), and a recording
-    /// live simulation on a miss so the *next* call hits.
-    ///
-    /// The returned [`dcg_sim::SimStats`] are bit-identical hit or miss:
-    /// the stats counters are integer folds, and the block fold visits
-    /// exactly the cycles the scalar loop would.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_passive_cached`] — only a validated entry
-    /// failing mid-replay, which is evicted before the error surfaces.
-    pub fn run_stats_cached_stream<S, F>(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        make_stream: F,
-    ) -> Result<dcg_sim::SimStats, DcgError>
-    where
-        S: InstStream,
-        F: FnOnce() -> S,
-    {
-        if let Some(mut replay) = self.replay_source(config, name, seed, length) {
-            match crate::runner::run_stats_source(&mut replay, length) {
-                Ok(stats) => return Ok(stats),
-                Err(e) => {
-                    self.evict_after_replay_failure(config, name, seed, length, &e);
-                    return Err(e);
-                }
-            }
-        }
-        self.run_passive_cached_stream(config, name, seed, length, make_stream, &mut [], &mut [])
-            .map(|run| run.stats)
-    }
-
-    /// IPC-only cached run — the cheapest query the store can answer.
-    ///
-    /// On a hit the measured window's `(cycles, committed)` come straight
-    /// from the trace's verified per-block subheaders plus a decode of
-    /// the two boundary blocks ([`ReplaySource::measured_window`]): an
-    /// index walk of a few tens of KB instead of a multi-MB payload
-    /// decode. The subheaders are covered by the trailer checksum that
-    /// every open verifies, so the shortcut loses no integrity coverage
-    /// for the numbers it returns. On a miss this records via a live
-    /// simulation exactly like [`TraceCache::run_stats_cached_stream`].
-    ///
-    /// The returned IPC is bit-identical to
-    /// `run_stats_cached_stream(..)?.ipc()` on every path: both reduce to
-    /// the same two integer totals divided in the same order.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_stats_cached_stream`].
     pub fn run_ipc_cached_stream<S, F>(
         &self,
         config: &SimConfig,
@@ -707,34 +585,153 @@ impl TraceCache {
         S: InstStream,
         F: FnOnce() -> S,
     {
-        if let Some(mut replay) = self.replay_source(config, name, seed, length) {
-            match replay.measured_window(length) {
-                Ok(Some((cycles, committed))) => {
-                    let stats = dcg_sim::SimStats {
-                        cycles,
-                        committed,
-                        ..dcg_sim::SimStats::default()
-                    };
-                    return Ok(stats.ipc());
-                }
-                // The index cannot answer (validation guarantees coverage,
-                // so only an unverified rewrite could land here): fold the
-                // full replay instead.
-                Ok(None) => match crate::runner::run_stats_source(&mut replay, length) {
-                    Ok(stats) => return Ok(stats.ipc()),
-                    Err(e) => {
-                        self.evict_after_replay_failure(config, name, seed, length, &e);
-                        return Err(e);
-                    }
-                },
-                Err(e) => {
-                    self.evict_after_replay_failure(config, name, seed, length, &e);
-                    return Err(e);
-                }
+        let mut source = Self::source(Some(self), config, name, seed, length, make_stream);
+        let ipc = source.measured_ipc(config, length);
+        source.finish(ipc)
+    }
+}
+
+/// The cache entry a [`CachedSource`] replays or records.
+#[derive(Debug)]
+struct Slot<'c> {
+    cache: &'c TraceCache,
+    identity: EntryIdentity,
+    key: u64,
+}
+
+/// A live simulation that appends every cycle it produces to an
+/// in-memory activity trace.
+#[derive(Debug)]
+struct Recording<S: InstStream> {
+    cpu: Processor<S>,
+    writer: ActivityTraceWriter<Vec<u8>>,
+    /// The first write error; a failing recorder must not abort the
+    /// simulation it rides on, so the trace is dropped at the end.
+    error: Option<TraceError>,
+}
+
+#[derive(Debug)]
+enum Feed<'c, S: InstStream> {
+    Replay(Slot<'c>, Box<ReplaySource>),
+    Record(Slot<'c>, Box<Recording<S>>),
+    Live(Box<Processor<S>>),
+}
+
+/// One tuple's activity source, as handed out by
+/// [`TraceCache::source`]: a replay (block route), a recording live
+/// simulation, or a plain live simulation.
+///
+/// Only the plain live source honors resource constraints: a replay is
+/// immutable history, and a recording must not capture a stream an
+/// active policy shaped, because the cache key does not name the policy.
+#[derive(Debug)]
+pub struct CachedSource<'c, S: InstStream> {
+    feed: Feed<'c, S>,
+}
+
+impl<S: InstStream> CachedSource<'_, S> {
+    /// The measured window's IPC. A replay answers from its verified
+    /// block index ([`ReplaySource::measured_window`]: subheader totals
+    /// plus the two boundary blocks, no interior decode); a live source,
+    /// or an index that cannot answer, drives a stats-only pass. Both
+    /// reduce to the same two integer totals divided in the same order,
+    /// so the IPC is bit-identical on every path.
+    ///
+    /// # Errors
+    ///
+    /// A corrupt index or boundary block, or a replay failure.
+    pub fn measured_ipc(&mut self, config: &SimConfig, length: RunLength) -> Result<f64, DcgError> {
+        if let Feed::Replay(_, replay) = &self.feed {
+            if let Some((cycles, committed)) = replay.measured_window(length)? {
+                let stats = SimStats {
+                    cycles,
+                    committed,
+                    ..SimStats::default()
+                };
+                return Ok(stats.ipc());
             }
         }
-        self.run_passive_cached_stream(config, name, seed, length, make_stream, &mut [], &mut [])
-            .map(|run| run.stats.ipc())
+        let run = run_passive_with_sinks(config, self, length, &mut [], &mut [])?;
+        Ok(run.stats.ipc())
+    }
+
+    /// Settle a drive over this source and return its `result`
+    /// unchanged. This is the one place the cache learns how a run went:
+    /// a recording whose drive succeeded is stored; a replay whose drive
+    /// failed is evicted and counted in [`CacheHealth::replay_failures`].
+    ///
+    /// # Errors
+    ///
+    /// Returns `result`'s error, if any.
+    pub fn finish<R>(self, result: Result<R, DcgError>) -> Result<R, DcgError> {
+        match (self.feed, &result) {
+            (Feed::Record(slot, rec), Ok(_)) if rec.error.is_none() => {
+                if let Ok(bytes) = rec.writer.finish() {
+                    slot.cache.store.insert(&slot.identity, slot.key, &bytes);
+                }
+            }
+            (Feed::Replay(slot, _), Err(_)) => {
+                let store = &slot.cache.store;
+                store.health.replay_failures.fetch_add(1, Ordering::Relaxed);
+                store.evict(&slot.identity);
+            }
+            _ => {}
+        }
+        result
+    }
+}
+
+impl<S: InstStream> ActivitySource for CachedSource<'_, S> {
+    fn next_cycle(&mut self) -> Result<&CycleActivity, DcgError> {
+        match &mut self.feed {
+            Feed::Replay(_, replay) => replay.next_cycle(),
+            Feed::Record(_, rec) => {
+                let act = rec.cpu.step();
+                if rec.error.is_none() {
+                    rec.error = rec.writer.write_cycle(act).err();
+                }
+                Ok(act)
+            }
+            Feed::Live(cpu) => Ok(cpu.step()),
+        }
+    }
+
+    fn committed(&self) -> u64 {
+        match &self.feed {
+            Feed::Replay(_, replay) => replay.committed(),
+            Feed::Record(_, rec) => rec.cpu.committed(),
+            Feed::Live(cpu) => cpu.committed(),
+        }
+    }
+
+    fn cycle(&self) -> u64 {
+        match &self.feed {
+            Feed::Replay(_, replay) => replay.cycle(),
+            Feed::Record(_, rec) => rec.cpu.cycle(),
+            Feed::Live(cpu) => cpu.cycle(),
+        }
+    }
+
+    fn supports_constraints(&self) -> bool {
+        matches!(self.feed, Feed::Live(_))
+    }
+
+    fn apply_constraints(&mut self, constraints: ResourceConstraints) {
+        match &mut self.feed {
+            Feed::Live(cpu) => cpu.set_constraints(constraints),
+            _ => panic!("only a plain live source honors resource constraints"),
+        }
+    }
+
+    fn supports_blocks(&self) -> bool {
+        matches!(self.feed, Feed::Replay(..))
+    }
+
+    fn next_block(&mut self) -> Result<&ActivityBlock, DcgError> {
+        match &mut self.feed {
+            Feed::Replay(_, replay) => replay.next_block(),
+            _ => panic!("a live activity source does not produce blocks"),
+        }
     }
 }
 
@@ -827,9 +824,11 @@ mod tests {
         let cold = cache
             .run_ipc_cached_stream(&cfg, profile.name, 11, short(), stream)
             .expect("cold ipc");
-        let folded = cache
-            .run_stats_cached_stream(&cfg, profile.name, 11, short(), stream)
-            .expect("warm fold");
+        let mut source = TraceCache::source(Some(&cache), &cfg, profile.name, 11, short(), stream);
+        assert!(source.supports_blocks(), "the cold run recorded the tuple");
+        let folded = run_passive_with_sinks(&cfg, &mut source, short(), &mut [], &mut [])
+            .expect("warm fold")
+            .stats;
         let warm = cache
             .run_ipc_cached_stream(&cfg, profile.name, 11, short(), stream)
             .expect("warm ipc");
@@ -846,6 +845,82 @@ mod tests {
             .expect("clean entry")
             .expect("verified entry answers from its index");
         assert_eq!((cycles, committed), (folded.cycles, folded.committed));
+    }
+
+    #[test]
+    fn replay_failing_mid_drive_is_evicted_counted_and_retried_live() {
+        use crate::MetricsSink;
+        use dcg_trace::ACTIVITY_BLOCK_HEADER_LEN;
+
+        let cache = scratch("fail-open");
+        let cfg = SimConfig::baseline_8wide();
+        let groups = LatchGroups::new(&cfg.depth);
+        let profile = Spec2000::by_name("gzip").unwrap();
+        let stream = || SyntheticWorkload::new(profile, 13);
+        let pass = |source: &mut CachedSource<'_, SyntheticWorkload>| {
+            let mut base = NoGating::new(&cfg, &groups);
+            let mut dcg = Dcg::new(&cfg, &groups);
+            let mut probe = Dcg::new(&cfg, &groups);
+            let mut metrics = MetricsSink::new(&mut probe, &cfg, &groups);
+            let run = run_passive_with_sinks(
+                &cfg,
+                source,
+                short(),
+                &mut [&mut base, &mut dcg],
+                &mut [&mut metrics],
+            )?;
+            Ok((report_bits(&run), format!("{:?}", metrics.into_report())))
+        };
+        let live = pass(&mut TraceCache::source(
+            None,
+            &cfg,
+            profile.name,
+            13,
+            short(),
+            stream,
+        ))
+        .expect("live run");
+
+        // Record the entry, then fetch it once so its manifest row is
+        // stamped verified: later fetches skip the payload checksum.
+        TraceCache::run_fail_open(Some(&cache), &cfg, profile.name, 13, short(), stream, pass);
+        assert!(cache
+            .replay_source(&cfg, profile.name, 13, short())
+            .is_some());
+
+        // Flip one payload byte of the second block in place: same
+        // length, and the trailer (which covers only the subheaders)
+        // still verifies, so the replay opens and fails mid-drive on
+        // that block's checksum.
+        let path = cache.entry_path_for(&cfg, profile.name, 13, short());
+        let mut bytes = fs::read(&path).unwrap();
+        let mut header = Vec::new();
+        ActivityHeader::new(profile.name, cfg.digest(), 13, 500, 2_000, groups.len())
+            .unwrap()
+            .write_to(&mut header)
+            .unwrap();
+        let first = header.len();
+        let blen = u32::from_le_bytes(bytes[first..first + 4].try_into().unwrap()) as usize;
+        let second_payload = first + 2 * ACTIVITY_BLOCK_HEADER_LEN + blen;
+        bytes[second_payload + 1] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        assert!(
+            ActivityTraceReader::new(&bytes[..]).is_ok(),
+            "the trailer still verifies"
+        );
+
+        let before = cache.health().replay_failures;
+        let retried =
+            TraceCache::run_fail_open(Some(&cache), &cfg, profile.name, 13, short(), stream, pass);
+        assert_eq!(
+            retried, live,
+            "the live retry is bit-identical to a live run"
+        );
+        assert_eq!(cache.health().replay_failures, before + 1);
+        assert!(!path.exists(), "the failed entry is evicted");
+        assert!(cache
+            .replay_source(&cfg, profile.name, 13, short())
+            .is_none());
     }
 
     #[test]

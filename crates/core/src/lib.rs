@@ -16,11 +16,17 @@
 //!   compares against, in both `PLB-orig` and `PLB-ext` forms (§4.3);
 //! * [`NoGating`] — the ungated base case all savings are measured
 //!   against;
-//! * [`run_passive`]/[`run_active`] — runners that drive a simulation
-//!   under policies, account energy via `dcg-power`, and enforce gating
-//!   safety: a [`GatingSafetyChecker`] asserts every cycle that the
-//!   powered set covers the actual activity (the paper's "no performance
-//!   loss, no lost opportunity" determinism guarantee); a violation is a
+//! * one way to describe a run — an [`ActivitySource`] (a live
+//!   simulation, a [`ReplaySource`], or a [`TraceCache`]-decorated
+//!   [`CachedSource`]), the policies, and any extra [`ActivitySink`]s
+//!   ([`MetricsSink`], [`ClairvoyantSink`] for the oracle and Wattch
+//!   styles) — driven by one loop, [`drive`], through
+//!   [`run_passive_with_sinks`]/[`run_active_source`] or the live
+//!   conveniences [`run_passive`]/[`run_active`]. The runners account
+//!   energy via `dcg-power` and enforce gating safety: a
+//!   [`GatingSafetyChecker`] asserts every cycle that the powered set
+//!   covers the actual activity (the paper's "no performance loss, no
+//!   lost opportunity" determinism guarantee); a violation is a
 //!   structured [`Hazard`] and the class *fails open* to ungated for a
 //!   backoff window, never a panic;
 //! * [`FaultPlan`]/[`FaultyPolicy`] — a deterministic, seeded
@@ -67,7 +73,7 @@ mod sinks;
 mod source;
 mod store;
 
-pub use cache::{CacheHealth, TraceCache, TRACE_CACHE_BUDGET_ENV, TRACE_CACHE_ENV};
+pub use cache::{CacheHealth, CachedSource, TraceCache, TRACE_CACHE_BUDGET_ENV, TRACE_CACHE_ENV};
 pub use dcg::{Dcg, DcgOptions};
 pub use error::DcgError;
 pub use faults::{FaultPlan, FaultPoint, FaultSpec, FaultWindow, FaultyPolicy, PanicSink};
@@ -78,16 +84,14 @@ pub use metrics::{
 pub use plb::{Plb, PlbConfig, PlbMode, PlbVariant};
 pub use policy::{GatingPolicy, NoGating};
 pub use runner::{
-    drive, drive_batch, drive_batch_sharded, run_active, run_active_source, run_oracle,
-    run_oracle_source, run_passive, run_passive_source, run_passive_with_sinks, run_stats_source,
-    run_wattch_styles, run_wattch_styles_source, GatingAudit, PassiveRun, PolicyOutcome, RunLength,
-    WattchStyles,
+    drive, run_active, run_active_source, run_passive, run_passive_with_sinks, GatingAudit,
+    PassiveRun, PolicyOutcome, RunLength, WattchStyles,
 };
 pub use safety::{GatingSafetyChecker, Hazard, HazardClass, SafetyConfig, SafetyReport};
 pub use shard::{
     run_sharded, run_sharded_with, sweep_threads, worker_count_from_env_value, SWEEP_THREADS_ENV,
 };
-pub use sinks::{ActivitySink, MetricsSink};
+pub use sinks::{ActivitySink, ClairvoyantSink, MetricsSink};
 pub use source::{ActivitySource, ReplaySource};
 pub use store::{
     EntryIdentity, EntryMeta, RecoveryStats, StoreError, StoreScan, TraceStore, JOURNAL_FILE,

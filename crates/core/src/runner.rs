@@ -16,7 +16,7 @@ use dcg_workloads::InstStream;
 use crate::error::DcgError;
 use crate::policy::GatingPolicy;
 use crate::safety::SafetyReport;
-use crate::sinks::{ActivitySink, OracleSink, PolicySink, StatsSink, WattchSink};
+use crate::sinks::{ActivitySink, PolicySink, StatsSink};
 use crate::source::ActivitySource;
 
 /// Run-length parameters.
@@ -261,136 +261,6 @@ fn drive_blocks(
     Ok(())
 }
 
-/// Advance several sink *lanes* in lockstep over one activity source —
-/// the batched sweep driver.
-///
-/// Each lane is one logical configuration's sink set (e.g. one policy
-/// fan-out per sweep point). All lanes share a single pass over `source`:
-/// with a block-capable source every block is decoded **once** and fanned
-/// to every lane, which is what makes a K-configuration warm-cache sweep
-/// cost one decode instead of K. Lanes must all be passive (no sink may
-/// publish constraints) when the source is a replay; per-lane results are
-/// read back from the sinks the caller still owns.
-///
-/// Equivalent to driving each lane separately: every sink observes the
-/// identical warm-up/measure call sequence either way.
-///
-/// # Errors
-///
-/// As [`drive`].
-pub fn drive_batch(
-    source: &mut dyn ActivitySource,
-    lanes: &mut [Vec<&mut dyn ActivitySink>],
-    length: RunLength,
-) -> Result<(), DcgError> {
-    let mut flat: Vec<&mut dyn ActivitySink> = Vec::with_capacity(lanes.iter().map(Vec::len).sum());
-    for lane in lanes.iter_mut() {
-        for s in lane.iter_mut() {
-            flat.push(&mut **s);
-        }
-    }
-    drive(source, &mut flat, length)
-}
-
-/// [`drive_batch`] sharded across up to `threads` scoped workers: the
-/// lanes are split into contiguous chunks, each worker drives its chunk
-/// over its **own** source (one per chunk, from `sources` — e.g. one
-/// [`crate::ReplaySource`] per worker over a shared trace mapping, see
-/// [`crate::TraceCache::replay_sources`]), so a block is decoded once
-/// per worker instead of once per lane.
-///
-/// Every sink still observes the identical warm-up/measure sequence —
-/// worker boundaries only partition *which* lanes a pass fans out to —
-/// so results are bit-identical to [`drive_batch`] for any worker
-/// count. With one source (or one lane) this *is* `drive_batch`.
-///
-/// `sources` supplies one source per worker; the number of workers is
-/// `min(threads, sources.len(), lanes.len())`, never zero.
-///
-/// # Errors
-///
-/// As [`drive`]; when several workers fail, the error from the earliest
-/// lane chunk wins (deterministic for any schedule).
-pub fn drive_batch_sharded<S: ActivitySource + Send>(
-    threads: usize,
-    sources: Vec<S>,
-    lanes: &mut [Vec<&mut (dyn ActivitySink + Send)>],
-    length: RunLength,
-) -> Result<(), DcgError> {
-    if lanes.is_empty() {
-        return Ok(());
-    }
-    let workers = threads.max(1).min(sources.len()).min(lanes.len()).max(1);
-    if workers <= 1 {
-        let mut source = sources
-            .into_iter()
-            .next()
-            .expect("drive_batch_sharded needs at least one source");
-        let mut flat: Vec<&mut dyn ActivitySink> =
-            Vec::with_capacity(lanes.iter().map(Vec::len).sum());
-        for lane in lanes.iter_mut() {
-            for s in lane.iter_mut() {
-                flat.push(&mut **s);
-            }
-        }
-        return drive(&mut source, &mut flat, length);
-    }
-    // Contiguous chunks, remainder spread over the leading workers so
-    // chunk sizes differ by at most one.
-    let per = lanes.len() / workers;
-    let extra = lanes.len() % workers;
-    let mut chunks: Vec<&mut [Vec<&mut (dyn ActivitySink + Send)>]> = Vec::with_capacity(workers);
-    let mut rest = lanes;
-    for w in 0..workers {
-        let take = per + usize::from(w < extra);
-        let (head, tail) = rest.split_at_mut(take);
-        chunks.push(head);
-        rest = tail;
-    }
-    let mut results: Vec<Result<(), DcgError>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .zip(sources)
-            .map(|(chunk, mut source)| {
-                scope.spawn(move || {
-                    let mut flat: Vec<&mut dyn ActivitySink> =
-                        Vec::with_capacity(chunk.iter().map(Vec::len).sum());
-                    for lane in chunk.iter_mut() {
-                        for s in lane.iter_mut() {
-                            flat.push(&mut **s);
-                        }
-                    }
-                    drive(&mut source, &mut flat, length)
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("drive worker panicked"));
-        }
-    });
-    results.into_iter().collect()
-}
-
-/// Collect only the measured-window [`SimStats`] from `source` — the
-/// cheapest possible consumer (no power model, no policy state).
-///
-/// On a block-capable source this folds whole decoded blocks into the
-/// counters without materializing per-cycle records, which is what a
-/// stats-only sweep point (e.g. an IPC table) should use.
-///
-/// # Errors
-///
-/// As [`run_passive_source`].
-pub fn run_stats_source(
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-) -> Result<SimStats, DcgError> {
-    let mut stats = StatsSink::new();
-    drive(source, &mut [&mut stats], length)?;
-    Ok(stats.into_stats())
-}
-
 /// Run `stream` on `config` evaluating several **passive** policies (and
 /// implicitly sharing one timing simulation, since passive policies cannot
 /// perturb it). Returns one outcome per policy, in order.
@@ -411,13 +281,20 @@ pub fn run_passive<S: InstStream>(
     policies: &mut [&mut dyn GatingPolicy],
 ) -> PassiveRun {
     let mut cpu = Processor::new(config.clone(), stream);
-    run_passive_source(config, &mut cpu, length, policies)
+    run_passive_with_sinks(config, &mut cpu, length, policies, &mut [])
         .expect("a live simulation source cannot fail")
 }
 
-/// [`run_passive`] over an arbitrary [`ActivitySource`] — e.g. a
-/// [`crate::ReplaySource`] over a recorded activity trace, which skips
-/// the timing simulation entirely.
+/// [`run_passive`] over any [`ActivitySource`] — a live simulation, a
+/// [`crate::ReplaySource`] over a recorded trace, or whatever
+/// [`crate::TraceCache::source`] hands out — with additional
+/// [`ActivitySink`]s riding on the same pass.
+///
+/// Callers attach a [`crate::MetricsSink`] for cycle-level observability
+/// or a [`crate::ClairvoyantSink`] for the oracle and Wattch reference
+/// styles, without an extra simulation; pass `&mut []` for none. Extra
+/// sinks see exactly the cycles the policy sinks see (warm-up and
+/// measured), after the policy sinks in fan-out order.
 ///
 /// # Errors
 ///
@@ -427,25 +304,6 @@ pub fn run_passive<S: InstStream>(
 /// # Panics
 ///
 /// As [`run_passive`].
-pub fn run_passive_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-    policies: &mut [&mut dyn GatingPolicy],
-) -> Result<PassiveRun, DcgError> {
-    run_passive_with_sinks(config, source, length, policies, &mut [])
-}
-
-/// Passive run with additional [`ActivitySink`]s riding on the same pass.
-///
-/// The trace cache attaches its recorder here, and callers attach a
-/// [`crate::MetricsSink`] to collect cycle-level observability without an
-/// extra simulation. Extra sinks see exactly the cycles the policy sinks
-/// see (warm-up and measured), after the policy sinks in fan-out order.
-///
-/// # Errors
-///
-/// As [`run_passive_source`].
 pub fn run_passive_with_sinks(
     config: &SimConfig,
     source: &mut dyn ActivitySource,
@@ -490,45 +348,8 @@ pub fn run_passive_with_sinks(
     })
 }
 
-/// Run `stream` on `config` under the **clairvoyant oracle**: every
-/// gateable block is powered exactly in the cycles it is used, decided
-/// with perfect same-cycle knowledge.
-///
-/// The oracle is not implementable in hardware (gate-enable signals need
-/// set-up time) — it is the upper bound of Wattch's most aggressive
-/// conditional-clocking style (`cc3`). Comparing DCG against it measures
-/// how much of the theoretically available gating DCG's *realizable*
-/// advance knowledge captures; the `oracle_comparison` bench shows DCG is
-/// within a fraction of a percent.
-pub fn run_oracle<S: InstStream>(
-    config: &SimConfig,
-    stream: S,
-    length: RunLength,
-) -> PolicyOutcome {
-    let mut cpu = Processor::new(config.clone(), stream);
-    run_oracle_source(config, &mut cpu, length).expect("a live simulation source cannot fail")
-}
-
-/// [`run_oracle`] over an arbitrary [`ActivitySource`] (the oracle only
-/// reads activity, so a replayed trace serves as well as a live run).
-///
-/// # Errors
-///
-/// As [`run_passive_source`].
-pub fn run_oracle_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-) -> Result<PolicyOutcome, DcgError> {
-    let groups = LatchGroups::new(&config.depth);
-    let model = PowerModel::new(config, &groups);
-    let mut sink = OracleSink::new(&model, config, &groups);
-    drive(source, &mut [&mut sink], length)?;
-    Ok(sink.into_outcome())
-}
-
 /// Reports for Wattch's idealized conditional-clocking reference styles,
-/// computed from one simulation.
+/// accounted by one [`crate::ClairvoyantSink`] on one pass.
 ///
 /// Wattch (the paper's power infrastructure) offers clock-gating styles of
 /// increasing aggressiveness as *accounting modes* (not realizable
@@ -537,8 +358,8 @@ pub fn run_oracle_source(
 /// * `cc0` / `full` — no gating (the paper's base case);
 /// * `cc1` — a block is fully powered in any cycle with at least one
 ///   access, fully gated otherwise (all-or-nothing, same-cycle knowledge);
-/// * `cc2` — power scales with the number of instances/ports used
-///   (identical to [`run_oracle`]'s clairvoyant gate);
+/// * `cc2` — power scales with the number of instances/ports used: the
+///   clairvoyant oracle ([`WattchStyles::oracle`]);
 /// * `cc3` — like `cc2` but idle blocks retain a fixed fraction
 ///   (conventionally 10 %) of full power; equivalently,
 ///   `saving_cc3 = (1 − floor) × saving_cc2`, so it needs no extra run.
@@ -567,36 +388,24 @@ impl WattchStyles {
     pub fn cc3_saving(&self, idle_floor: f64) -> f64 {
         (1.0 - idle_floor) * self.cc2_saving()
     }
-}
 
-/// Evaluate Wattch's `cc1`/`cc2` reference accounting styles on one run
-/// (see [`WattchStyles`]). These use *same-cycle* knowledge and are
-/// therefore upper bounds no realizable controller can exceed.
-pub fn run_wattch_styles<S: InstStream>(
-    config: &SimConfig,
-    stream: S,
-    length: RunLength,
-) -> WattchStyles {
-    let mut cpu = Processor::new(config.clone(), stream);
-    run_wattch_styles_source(config, &mut cpu, length)
-        .expect("a live simulation source cannot fail")
-}
-
-/// [`run_wattch_styles`] over an arbitrary [`ActivitySource`].
-///
-/// # Errors
-///
-/// As [`run_passive_source`].
-pub fn run_wattch_styles_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-) -> Result<WattchStyles, DcgError> {
-    let groups = LatchGroups::new(&config.depth);
-    let model = PowerModel::new(config, &groups);
-    let mut sink = WattchSink::new(&model, config, &groups);
-    drive(source, &mut [&mut sink], length)?;
-    Ok(sink.into_styles())
+    /// The **clairvoyant oracle** as a policy outcome: every gateable
+    /// block powered exactly in the cycles it is used (the `cc2` gate).
+    ///
+    /// The oracle is not implementable in hardware (gate-enable signals
+    /// need set-up time) — it is the upper bound of Wattch's most
+    /// aggressive conditional-clocking style. Comparing DCG against it
+    /// measures how much of the theoretically available gating DCG's
+    /// *realizable* advance knowledge captures; the `oracle_comparison`
+    /// bench shows DCG is within a fraction of a percent.
+    pub fn oracle(&self) -> PolicyOutcome {
+        PolicyOutcome {
+            name: "oracle".to_string(),
+            report: self.cc2.clone(),
+            audit: GatingAudit::default(),
+            safety: SafetyReport::default(),
+        }
+    }
 }
 
 /// Run `stream` on `config` under one **active** policy (PLB): the policy's
@@ -620,7 +429,7 @@ pub fn run_active<S: InstStream>(
 ///
 /// # Errors
 ///
-/// As [`run_passive_source`] (unreachable in practice: constraint
+/// As [`run_passive_with_sinks`] (unreachable in practice: constraint
 /// support implies a live, infallible source).
 ///
 /// # Panics
@@ -707,7 +516,18 @@ mod tests {
     #[test]
     fn wattch_styles_are_ordered() {
         let cfg = SimConfig::baseline_8wide();
-        let styles = run_wattch_styles(&cfg, stream("gzip"), RunLength::quick());
+        let groups = LatchGroups::new(&cfg.depth);
+        let mut clairvoyant = crate::ClairvoyantSink::new(&cfg, &groups);
+        let mut cpu = Processor::new(cfg.clone(), stream("gzip"));
+        run_passive_with_sinks(
+            &cfg,
+            &mut cpu,
+            RunLength::quick(),
+            &mut [],
+            &mut [&mut clairvoyant],
+        )
+        .expect("live run");
+        let styles = clairvoyant.into_styles();
         let cc1 = styles.cc1_saving();
         let cc2 = styles.cc2_saving();
         let cc3 = styles.cc3_saving(0.10);
@@ -717,10 +537,10 @@ mod tests {
             "per-instance gating dominates all-or-nothing: {cc2} vs {cc1}"
         );
         assert!((cc3 - 0.9 * cc2).abs() < 1e-12, "cc3 is cc2 with a floor");
-        // cc2 equals the clairvoyant oracle by construction.
-        let oracle = run_oracle(&cfg, stream("gzip"), RunLength::quick());
-        let oracle_saving = oracle.report.power_saving_vs(&styles.full);
-        assert!((oracle_saving - cc2).abs() < 1e-9);
+        // cc2 is the clairvoyant oracle.
+        let oracle = styles.oracle();
+        assert_eq!(oracle.name, "oracle");
+        assert_eq!(oracle.report.power_saving_vs(&styles.full), cc2);
     }
 
     #[test]

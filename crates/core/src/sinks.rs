@@ -2,19 +2,18 @@
 //!
 //! One [`drive`](crate::drive) pass fans each cycle's
 //! [`CycleActivity`] out to any number of sinks: policy evaluation with
-//! energy accounting and the gating audit, Wattch/oracle reference
-//! accounting, statistics accumulation, and trace recording. Because
+//! energy accounting and the gating audit, clairvoyant (Wattch/oracle)
+//! reference accounting, cycle-level metrics and statistics. Because
 //! every sink takes the activity by reference, adding consumers never
 //! adds simulation passes — the "simulate once" architecture.
 
-use std::io::Write;
+use std::cell::Cell;
 
 use dcg_isa::FuClass;
 use dcg_power::{GateState, PowerModel, PowerReport};
 use dcg_sim::{
     ActivityBlock, CycleActivity, LatchGroups, ResourceConstraints, SimConfig, SimStats,
 };
-use dcg_trace::{ActivityTraceWriter, TraceError};
 
 use crate::metrics::{
     fu_class_label, ComponentMetrics, GateDisagreement, Histogram, MetricsConfig, MetricsReport,
@@ -22,7 +21,7 @@ use crate::metrics::{
 };
 use crate::policy::GatingPolicy;
 use crate::runner::{GatingAudit, PolicyOutcome, WattchStyles};
-use crate::safety::{GatingSafetyChecker, SafetyReport};
+use crate::safety::GatingSafetyChecker;
 
 /// A consumer of per-cycle activity.
 ///
@@ -56,11 +55,7 @@ pub trait ActivitySink {
     /// scalar call sequence. Sinks with a vectorized fold (or nothing to
     /// do during warm-up) override this.
     fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = CycleActivity::default();
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.warmup_cycle(&act);
-        }
+        each_cycle(block, from, to, |act| self.warmup_cycle(act));
     }
 
     /// Observe and account measured cycles `from..to` of a decoded block.
@@ -70,12 +65,31 @@ pub trait ActivitySink {
     /// [`measure_cycle`](ActivitySink::measure_cycle), so any sink is
     /// automatically block-capable and bit-identical to the scalar path.
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = CycleActivity::default();
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.measure_cycle(&act);
-        }
+        each_cycle(block, from, to, |act| self.measure_cycle(act));
     }
+}
+
+thread_local! {
+    /// The per-cycle shim's record, reused across spans so extraction
+    /// allocates once per thread rather than once per block. A nested
+    /// shim finds it taken and starts from an empty record.
+    static SHIM_RECORD: Cell<CycleActivity> = Cell::new(CycleActivity::default());
+}
+
+/// Extract cycles `from..to` of `block` one at a time and hand each to
+/// `observe` (every field of the record is rewritten per cycle).
+fn each_cycle(
+    block: &ActivityBlock,
+    from: usize,
+    to: usize,
+    mut observe: impl FnMut(&CycleActivity),
+) {
+    let mut act = SHIM_RECORD.take();
+    for i in from..to {
+        block.extract(i, &mut act);
+        observe(&act);
+    }
+    SHIM_RECORD.set(act);
 }
 
 /// Evaluates one gating policy: per-cycle gate state, safety audit and
@@ -99,9 +113,6 @@ pub(crate) struct PolicySink<'a> {
     /// Scratch gate state reused across cycles (see
     /// [`GatingPolicy::gate_into`]).
     gate: GateState,
-    /// Scratch activity reused across block spans (the per-cycle shim
-    /// with a persistent buffer instead of a per-block allocation).
-    scratch: CycleActivity,
 }
 
 impl<'a> PolicySink<'a> {
@@ -124,7 +135,6 @@ impl<'a> PolicySink<'a> {
             report: PowerReport::new(),
             audit: GatingAudit::default(),
             gate,
-            scratch: CycleActivity::default(),
         }
     }
 
@@ -173,88 +183,22 @@ impl ActivitySink for PolicySink<'_> {
     }
 
     // Gating decisions, the safety screen and the energy fold are stateful
-    // and order-sensitive (f64 accumulation), so the block spans replay
-    // the scalar sequence exactly — the win is the shared block decode,
-    // not a reordered fold.
-    fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.warmup_cycle(&act);
-        }
-        self.scratch = act;
-    }
-
-    fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.measure_cycle(&act);
-        }
-        self.scratch = act;
-    }
+    // and order-sensitive (f64 accumulation), so block spans take the
+    // per-cycle shim: the win is the shared block decode, not a reordered
+    // fold.
 }
 
-/// Clairvoyant-oracle accounting: every gateable block powered exactly in
-/// the cycles it is used (see [`crate::run_oracle`]).
-pub(crate) struct OracleSink<'a> {
-    model: &'a PowerModel,
-    groups: &'a LatchGroups,
-    base: GateState,
-    report: PowerReport,
-}
-
-impl<'a> OracleSink<'a> {
-    pub(crate) fn new(
-        model: &'a PowerModel,
-        config: &SimConfig,
-        groups: &'a LatchGroups,
-    ) -> OracleSink<'a> {
-        OracleSink {
-            model,
-            groups,
-            base: GateState::ungated(config, groups),
-            report: PowerReport::new(),
-        }
-    }
-
-    pub(crate) fn into_outcome(self) -> PolicyOutcome {
-        PolicyOutcome {
-            name: "oracle".to_string(),
-            report: self.report,
-            audit: GatingAudit::default(),
-            safety: SafetyReport::default(),
-        }
-    }
-}
-
-impl ActivitySink for OracleSink<'_> {
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        let mut gate = self.base.clone();
-        for c in FuClass::ALL {
-            gate.fu_powered[c.index()] = act.fu_active[c.index()];
-        }
-        gate.dcache_ports_powered = act.dcache_port_mask;
-        gate.result_buses_powered = act.result_bus_used;
-        gate.latch_slots = self
-            .groups
-            .specs()
-            .iter()
-            .zip(&act.latch_occupancy)
-            .map(|(s, occ)| if s.gated { Some(*occ) } else { None })
-            .collect();
-        self.report
-            .record(&self.model.cycle_energy(act, &gate), act.committed);
-    }
-
-    // Nothing accumulates during warm-up, so skip the shim's extraction.
-    fn warmup_span(&mut self, _block: &ActivityBlock, _from: usize, _to: usize) {}
-}
-
-/// Wattch `cc0`/`cc1`/`cc2` reference accounting (see
-/// [`crate::run_wattch_styles`]).
-pub(crate) struct WattchSink<'a> {
-    model: &'a PowerModel,
+/// Clairvoyant reference accounting: Wattch's `cc0`/`cc1`/`cc2` styles
+/// from one pass (see [`WattchStyles`]).
+///
+/// The `cc2` gate — every gateable block powered exactly in the cycles
+/// it is used, decided with same-cycle knowledge — is also the oracle
+/// bound DCG is compared against ([`WattchStyles::oracle`]). It reads
+/// only activity, so it rides any passive pass, live or replayed, as an
+/// extra sink of [`crate::run_passive_with_sinks`].
+#[derive(Debug)]
+pub struct ClairvoyantSink<'a> {
+    model: PowerModel,
     groups: &'a LatchGroups,
     ungated: GateState,
     full: PowerReport,
@@ -262,14 +206,11 @@ pub(crate) struct WattchSink<'a> {
     cc2: PowerReport,
 }
 
-impl<'a> WattchSink<'a> {
-    pub(crate) fn new(
-        model: &'a PowerModel,
-        config: &SimConfig,
-        groups: &'a LatchGroups,
-    ) -> WattchSink<'a> {
-        WattchSink {
-            model,
+impl<'a> ClairvoyantSink<'a> {
+    /// A sink accounting `config`'s machine.
+    pub fn new(config: &SimConfig, groups: &'a LatchGroups) -> ClairvoyantSink<'a> {
+        ClairvoyantSink {
+            model: PowerModel::new(config, groups),
             groups,
             ungated: GateState::ungated(config, groups),
             full: PowerReport::new(),
@@ -278,7 +219,8 @@ impl<'a> WattchSink<'a> {
         }
     }
 
-    pub(crate) fn into_styles(self) -> WattchStyles {
+    /// The three accounting styles over the measured window.
+    pub fn into_styles(self) -> WattchStyles {
         WattchStyles {
             full: self.full,
             cc1: self.cc1,
@@ -287,7 +229,7 @@ impl<'a> WattchSink<'a> {
     }
 }
 
-impl ActivitySink for WattchSink<'_> {
+impl ActivitySink for ClairvoyantSink<'_> {
     fn measure_cycle(&mut self, act: &CycleActivity) {
         // cc2: exact per-instance usage.
         let mut g2 = self.ungated.clone();
@@ -362,10 +304,7 @@ const COMP_LATCHES: usize = COMP_BUSES + 1;
 /// stream, so a second instance reproduces exactly the gate decisions of
 /// the [`PolicySink`] riding the same pass, live or replayed.
 pub struct MetricsSink<'a> {
-    /// `+ Send` so a batch of metrics lanes can shard across the
-    /// [`crate::drive_batch_sharded`] worker pool; every concrete policy
-    /// is a plain `Send` struct.
-    policy: &'a mut (dyn GatingPolicy + Send),
+    policy: &'a mut dyn GatingPolicy,
     groups: &'a LatchGroups,
     /// Scratch gate state reused across cycles.
     gate: GateState,
@@ -375,14 +314,12 @@ pub struct MetricsSink<'a> {
     report: MetricsReport,
     /// The currently accumulating (not yet flushed) window.
     win: WindowSample,
-    /// Scratch activity reused across block spans.
-    scratch: CycleActivity,
 }
 
 impl<'a> MetricsSink<'a> {
     /// A sink observing `policy` with the default [`MetricsConfig`].
     pub fn new(
-        policy: &'a mut (dyn GatingPolicy + Send),
+        policy: &'a mut dyn GatingPolicy,
         config: &SimConfig,
         groups: &'a LatchGroups,
     ) -> MetricsSink<'a> {
@@ -395,7 +332,7 @@ impl<'a> MetricsSink<'a> {
     ///
     /// Panics if `policy` is active or `metrics_config.window` is zero.
     pub fn with_config(
-        policy: &'a mut (dyn GatingPolicy + Send),
+        policy: &'a mut dyn GatingPolicy,
         config: &SimConfig,
         groups: &'a LatchGroups,
         metrics_config: MetricsConfig,
@@ -450,7 +387,6 @@ impl<'a> MetricsSink<'a> {
             issue_width,
             report,
             win: WindowSample::empty(0),
-            scratch: CycleActivity::default(),
         }
     }
 
@@ -621,25 +557,7 @@ impl ActivitySink for MetricsSink<'_> {
     }
 
     // Histogram updates, window flushes and the disagreement audit are
-    // order-sensitive, so the block spans replay the scalar sequence with
-    // a persistent scratch buffer.
-    fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.warmup_cycle(&act);
-        }
-        self.scratch = act;
-    }
-
-    fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.measure_cycle(&act);
-        }
-        self.scratch = act;
-    }
+    // order-sensitive, so block spans take the per-cycle shim.
 }
 
 /// Accumulates [`SimStats`] over the measured window.
@@ -673,49 +591,5 @@ impl ActivitySink for StatsSink {
 
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
         self.stats.record_block(block, from, to);
-    }
-}
-
-/// Streams every cycle (warm-up included) into an activity-trace writer.
-///
-/// Write errors are stashed rather than propagated — a failing recorder
-/// must not abort the simulation it is riding on; [`RecorderSink::finish`]
-/// surfaces the first error so the caller can discard the partial trace.
-pub(crate) struct RecorderSink<W: Write> {
-    writer: ActivityTraceWriter<W>,
-    error: Option<TraceError>,
-}
-
-impl<W: Write> RecorderSink<W> {
-    pub(crate) fn new(writer: ActivityTraceWriter<W>) -> RecorderSink<W> {
-        RecorderSink {
-            writer,
-            error: None,
-        }
-    }
-
-    fn write(&mut self, act: &CycleActivity) {
-        if self.error.is_none() {
-            if let Err(e) = self.writer.write_cycle(act) {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<W, TraceError> {
-        match self.error {
-            Some(e) => Err(e),
-            None => self.writer.finish(),
-        }
-    }
-}
-
-impl<W: Write> ActivitySink for RecorderSink<W> {
-    fn warmup_cycle(&mut self, act: &CycleActivity) {
-        self.write(act);
-    }
-
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        self.write(act);
     }
 }

@@ -14,7 +14,7 @@
 use std::fmt;
 
 use dcg_sim::{ActivityBlock, CycleActivity, Processor, ResourceConstraints};
-use dcg_trace::{ActivityHeader, ActivityTraceReader};
+use dcg_trace::ActivityTraceReader;
 use dcg_workloads::InstStream;
 
 use crate::error::DcgError;
@@ -106,10 +106,20 @@ impl<S: InstStream> ActivitySource for Processor<S> {
 /// Replay is only valid for **passive** consumption: the recorded stream
 /// is immutable history, so any attempt to constrain resources (an active
 /// policy such as PLB) panics.
+///
+/// The trace decodes a block at a time; [`ActivitySource::next_cycle`]
+/// serves single cycles out of the block it holds. A run draws either
+/// cycles or blocks, never both ([`crate::drive`] picks one route up
+/// front).
 pub struct ReplaySource {
     reader: ActivityTraceReader,
-    act: CycleActivity,
     block: Box<ActivityBlock>,
+    /// Index of the next cycle of `block` to serve (`block.len()` once
+    /// served whole).
+    next: usize,
+    act: CycleActivity,
+    cycles: u64,
+    committed: u64,
 }
 
 impl ReplaySource {
@@ -119,14 +129,35 @@ impl ReplaySource {
         let groups = reader.header().groups as usize;
         ReplaySource {
             reader,
-            act: CycleActivity::default(),
             block: Box::new(ActivityBlock::new(groups)),
+            next: 0,
+            act: CycleActivity::default(),
+            cycles: 0,
+            committed: 0,
         }
     }
 
-    /// The trace header (identity of the producing simulation).
-    pub fn header(&self) -> &ActivityHeader {
-        self.reader.header()
+    /// Decode the next block into `self.block`.
+    fn fill(&mut self) -> Result<(), DcgError> {
+        let read = self.reader.read_block(&mut self.block);
+        let h = self.reader.header();
+        match read {
+            Ok(true) => {
+                self.next = 0;
+                Ok(())
+            }
+            Ok(false) => Err(DcgError::ReplayExhausted {
+                name: h.name.clone(),
+                cycles: self.reader.cycles_read(),
+                committed: self.reader.committed(),
+                wanted: h.warmup_insts + h.measure_insts,
+            }),
+            Err(e) => Err(DcgError::ReplayCorrupt {
+                name: h.name.clone(),
+                cycle: self.reader.cycles_read() + 1,
+                source: e,
+            }),
+        }
     }
 
     /// The `(cycles, committed)` totals the drive loop would measure over
@@ -158,36 +189,30 @@ impl fmt::Debug for ReplaySource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplaySource")
             .field("header", self.reader.header())
-            .field("cycles", &self.reader.cycles_read())
-            .field("committed", &self.reader.committed())
+            .field("cycles", &self.cycles)
+            .field("committed", &self.committed)
             .finish()
     }
 }
 
 impl ActivitySource for ReplaySource {
     fn next_cycle(&mut self) -> Result<&CycleActivity, DcgError> {
-        match self.reader.read_cycle(&mut self.act) {
-            Ok(true) => Ok(&self.act),
-            Ok(false) => Err(DcgError::ReplayExhausted {
-                name: self.reader.header().name.clone(),
-                cycles: self.reader.cycles_read(),
-                committed: self.reader.committed(),
-                wanted: self.reader.header().warmup_insts + self.reader.header().measure_insts,
-            }),
-            Err(e) => Err(DcgError::ReplayCorrupt {
-                name: self.reader.header().name.clone(),
-                cycle: self.reader.cycles_read() + 1,
-                source: e,
-            }),
+        if self.next == self.block.len() {
+            self.fill()?;
         }
+        self.block.extract(self.next, &mut self.act);
+        self.next += 1;
+        self.cycles += 1;
+        self.committed += u64::from(self.act.committed);
+        Ok(&self.act)
     }
 
     fn committed(&self) -> u64 {
-        self.reader.committed()
+        self.committed
     }
 
     fn cycle(&self) -> u64 {
-        self.reader.cycles_read()
+        self.cycles
     }
 
     fn supports_constraints(&self) -> bool {
@@ -206,20 +231,11 @@ impl ActivitySource for ReplaySource {
     }
 
     fn next_block(&mut self) -> Result<&ActivityBlock, DcgError> {
-        match self.reader.read_block(&mut self.block) {
-            Ok(true) => Ok(&self.block),
-            Ok(false) => Err(DcgError::ReplayExhausted {
-                name: self.reader.header().name.clone(),
-                cycles: self.reader.cycles_read(),
-                committed: self.reader.committed(),
-                wanted: self.reader.header().warmup_insts + self.reader.header().measure_insts,
-            }),
-            Err(e) => Err(DcgError::ReplayCorrupt {
-                name: self.reader.header().name.clone(),
-                cycle: self.reader.cycles_read() + 1,
-                source: e,
-            }),
-        }
+        self.fill()?;
+        self.next = self.block.len();
+        self.cycles = self.reader.cycles_read();
+        self.committed = self.reader.committed();
+        Ok(&self.block)
     }
 }
 
@@ -227,7 +243,7 @@ impl ActivitySource for ReplaySource {
 mod tests {
     use super::*;
     use dcg_sim::SimConfig;
-    use dcg_trace::ActivityTraceWriter;
+    use dcg_trace::{ActivityHeader, ActivityTraceWriter};
     use dcg_workloads::{Spec2000, SyntheticWorkload};
 
     fn recorded(cycles: usize) -> Vec<u8> {

@@ -1030,10 +1030,9 @@ impl TraceStore {
     }
 
     /// Compaction pass: drop stale-schema entries, enforce the byte
-    /// budget, checkpoint. Cheap enough to run on a background thread
-    /// ([`crate::TraceCache::spawn_compaction`]); deleting only
-    /// dead-schema or over-budget entries keeps it invisible to
-    /// concurrent live-schema lookups.
+    /// budget, checkpoint. Deleting only dead-schema or over-budget
+    /// entries keeps it invisible to concurrent live-schema lookups, so
+    /// it may run on any thread.
     pub fn compact_now(&self) -> RecoveryStats {
         let mut guard = self.opened();
         let st = guard.as_mut().expect("opened");

@@ -1,19 +1,20 @@
 //! Bit-identity of the struct-of-arrays block path against the scalar
 //! per-cycle path, across 2 workload profiles × 2 pipeline depths.
 //!
-//! Three drivers consume the same recorded activity trace:
+//! Both routes of [`dcg_core::drive`] consume the same recorded activity
+//! trace:
 //!
 //! 1. the scalar loop (forced through a wrapper that hides block support),
-//! 2. the block loop ([`dcg_core::drive`] routes there automatically),
-//! 3. the batched multi-lane driver [`dcg_core::drive_batch`].
+//! 2. the block loop (`drive` routes a replay there automatically),
 //!
-//! All three must produce byte-identical policy outcomes, metrics reports
-//! and simulator statistics — the equivalence the warm-cache sweep
-//! speedup rests on.
+//! and a batch of sweep lanes is just one `drive` over every lane's
+//! sinks. All must produce byte-identical policy outcomes, metrics
+//! reports and simulator statistics — the equivalence the warm-cache
+//! sweep speedup rests on.
 
 use dcg_core::{
-    drive_batch, drive_batch_sharded, run_passive_with_sinks, run_stats_source, ActivitySink,
-    ActivitySource, Dcg, DcgError, MetricsSink, NoGating, PassiveRun, ReplaySource, RunLength,
+    drive, run_passive_with_sinks, ActivitySource, Dcg, DcgError, MetricsSink, NoGating,
+    PassiveRun, ReplaySource, RunLength,
 };
 use dcg_sim::{
     CycleActivity, LatchGroups, PipelineDepth, Processor, ResourceConstraints, SimConfig,
@@ -145,8 +146,10 @@ fn block_path_matches_scalar_path_bit_for_bit() {
             );
 
             // Stats-only fold over blocks equals the full run's stats.
-            let stats = run_stats_source(&mut replay(&bytes), length())
-                .expect("replay covers the recorded window");
+            let stats =
+                run_passive_with_sinks(&cfg, &mut replay(&bytes), length(), &mut [], &mut [])
+                    .expect("replay covers the recorded window")
+                    .stats;
             assert_eq!(
                 format!("{:?}", scalar_run.stats),
                 format!("{stats:?}"),
@@ -157,7 +160,7 @@ fn block_path_matches_scalar_path_bit_for_bit() {
 }
 
 #[test]
-fn drive_batch_lanes_match_individual_drives() {
+fn one_drive_over_all_lanes_sinks_equals_individual_drives() {
     let cfg = SimConfig::baseline_8wide();
     let groups = LatchGroups::new(&cfg.depth);
     let bytes = record(&cfg, "gzip");
@@ -168,11 +171,8 @@ fn drive_batch_lanes_match_individual_drives() {
     let mut p1 = Dcg::new(&cfg, &groups);
     let mut lane0 = MetricsSink::new(&mut p0, &cfg, &groups);
     let mut lane1 = MetricsSink::new(&mut p1, &cfg, &groups);
-    {
-        let mut lanes: Vec<Vec<&mut dyn ActivitySink>> = vec![vec![&mut lane0], vec![&mut lane1]];
-        drive_batch(&mut replay(&bytes), &mut lanes, length())
-            .expect("replay covers the recorded window");
-    }
+    drive(&mut replay(&bytes), &mut [&mut lane0, &mut lane1], length())
+        .expect("replay covers the recorded window");
     let batch0 = lane0.into_report();
     let batch1 = lane1.into_report();
 
@@ -186,56 +186,4 @@ fn drive_batch_lanes_match_individual_drives() {
         batch0, solo_scalar,
         "batched lane must equal solo scalar run"
     );
-}
-
-#[test]
-fn sharded_batch_matches_serial_batch_for_any_worker_count() {
-    let cfg = SimConfig::baseline_8wide();
-    let groups = LatchGroups::new(&cfg.depth);
-    let bytes = record(&cfg, "gzip");
-    const LANES: usize = 4;
-
-    // Reference: the serial batched driver over the same four lanes.
-    let reference: Vec<dcg_core::MetricsReport> = {
-        let mut policies: Vec<Dcg> = (0..LANES).map(|_| Dcg::new(&cfg, &groups)).collect();
-        let mut sinks: Vec<MetricsSink> = policies
-            .iter_mut()
-            .map(|p| MetricsSink::new(p, &cfg, &groups))
-            .collect();
-        {
-            let mut lanes: Vec<Vec<&mut dyn ActivitySink>> = sinks
-                .iter_mut()
-                .map(|s| vec![s as &mut dyn ActivitySink])
-                .collect();
-            drive_batch(&mut replay(&bytes), &mut lanes, length())
-                .expect("replay covers the recorded window");
-        }
-        sinks.into_iter().map(MetricsSink::into_report).collect()
-    };
-
-    // The sharded driver must reproduce it bit-for-bit whether it runs
-    // serially (1 worker) or splits the lanes across threads, each thread
-    // decoding its own reader over the same bytes.
-    for threads in [1usize, 2, 4, 8] {
-        let mut policies: Vec<Dcg> = (0..LANES).map(|_| Dcg::new(&cfg, &groups)).collect();
-        let mut sinks: Vec<MetricsSink> = policies
-            .iter_mut()
-            .map(|p| MetricsSink::new(p, &cfg, &groups))
-            .collect();
-        {
-            let mut lanes: Vec<Vec<&mut (dyn ActivitySink + Send)>> = sinks
-                .iter_mut()
-                .map(|s| vec![s as &mut (dyn ActivitySink + Send)])
-                .collect();
-            let sources: Vec<ReplaySource> = (0..LANES).map(|_| replay(&bytes)).collect();
-            drive_batch_sharded(threads, sources, &mut lanes, length())
-                .expect("replay covers the recorded window");
-        }
-        let reports: Vec<dcg_core::MetricsReport> =
-            sinks.into_iter().map(MetricsSink::into_report).collect();
-        assert_eq!(
-            reports, reference,
-            "{threads} workers: sharded batch must equal serial batch"
-        );
-    }
 }

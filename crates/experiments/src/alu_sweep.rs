@@ -5,8 +5,8 @@
 //! units and 92.7 % with 4 — concluding 6 units are power/performance
 //! optimal, which Table 1 then uses. This module regenerates that sweep.
 
-use dcg_core::{run_passive, run_sharded, NoGating, RunLength, TraceCache};
-use dcg_sim::{LatchGroups, SimConfig};
+use dcg_core::{run_sharded, RunLength, TraceCache};
+use dcg_sim::SimConfig;
 use dcg_workloads::{Spec2000, SyntheticWorkload};
 
 use crate::suite::ExperimentConfig;
@@ -27,34 +27,20 @@ fn ipc_with_alus(
         int_alus: alus,
         ..base.clone()
     };
-    let groups = LatchGroups::new(&cfg.depth);
-    let mut policy = NoGating::new(&cfg, &groups);
     let profile = Spec2000::by_name(name).expect("known benchmark");
-    let live = |policy: &mut NoGating| {
-        run_passive(
-            &cfg,
-            SyntheticWorkload::new(profile, seed),
-            length,
-            &mut [&mut *policy],
-        )
-    };
-    match cache {
-        // Only the IPC is needed, so the cached path answers from the
-        // trace's verified block index — subheader totals plus the two
-        // boundary blocks — without decoding the interior (bit-identical
-        // to the full fold; see `TraceCache::run_ipc_cached_stream`).
-        Some(c) => c
-            .run_ipc_cached_stream(&cfg, profile.name, seed, length, || {
-                SyntheticWorkload::new(profile, seed)
-            })
-            .unwrap_or_else(|e| {
-                // Fail open: the entry has been evicted; rebuild the
-                // policy and simulate live.
-                eprintln!("warning: {name}: cached replay failed ({e}); re-simulating live");
-                live(&mut NoGating::new(&cfg, &groups)).stats.ipc()
-            }),
-        None => live(&mut policy).stats.ipc(),
-    }
+    // Only the IPC is needed, so a cached point answers from the trace's
+    // verified block index — subheader totals plus the two boundary
+    // blocks — without decoding the interior (bit-identical to the full
+    // fold; see `CachedSource::measured_ipc`).
+    TraceCache::run_fail_open(
+        cache,
+        &cfg,
+        profile.name,
+        seed,
+        length,
+        || SyntheticWorkload::new(profile, seed),
+        |source| source.measured_ipc(&cfg, length),
+    )
 }
 
 /// Run the §4.4 sweep over the integer benchmarks in `cfg`, using the

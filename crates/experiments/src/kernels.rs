@@ -12,7 +12,7 @@
 use std::fmt;
 
 use dcg_core::{
-    run_active, run_oracle, run_passive_with_sinks, Dcg, NoGating, PassiveRun, Plb, PlbVariant,
+    run_active, run_passive_with_sinks, ClairvoyantSink, Dcg, NoGating, Plb, PlbVariant,
     PolicyOutcome, RunLength, TraceCache,
 };
 use dcg_emu::{Emulator, Program};
@@ -69,8 +69,8 @@ impl KernelRun {
     }
 }
 
-/// Run every checked-in kernel under baseline + DCG (one passive pass,
-/// cached when `cache` is given), PLB-ext and the gating oracle.
+/// Run every checked-in kernel under baseline + DCG and the clairvoyant
+/// oracle (one passive pass, cached when `cache` is given) and PLB-ext.
 ///
 /// # Panics
 ///
@@ -85,50 +85,40 @@ pub fn run_kernels(sim: &SimConfig, cache: Option<&TraceCache>) -> Vec<KernelRun
     let kernels = Kernel::all();
     dcg_core::run_sharded(kernels.len(), |i| {
         let k = &kernels[i];
-        {
-            let passive = |cache: Option<&TraceCache>| -> Result<PassiveRun, dcg_core::DcgError> {
+        let (mut run, styles) = TraceCache::run_fail_open(
+            cache,
+            sim,
+            k.name,
+            KERNEL_SEED,
+            length,
+            || k.stream(),
+            |source| {
                 let mut baseline = NoGating::new(sim, &groups);
                 let mut dcg = Dcg::new(sim, &groups);
-                let policies: &mut [&mut dyn dcg_core::GatingPolicy] =
-                    &mut [&mut baseline, &mut dcg];
-                match cache {
-                    Some(c) => c.run_passive_cached_stream(
-                        sim,
-                        k.name,
-                        KERNEL_SEED,
-                        length,
-                        || k.stream(),
-                        policies,
-                        &mut [],
-                    ),
-                    None => {
-                        let mut cpu = Processor::new(sim.clone(), k.stream());
-                        run_passive_with_sinks(sim, &mut cpu, length, policies, &mut [])
-                    }
-                }
-            };
-            let mut run = passive(cache).unwrap_or_else(|e| {
-                eprintln!(
-                    "warning: {}: cached replay failed ({e}); re-simulating live",
-                    k.name
-                );
-                passive(None).expect("a live simulation source cannot fail")
-            });
-            let dcg_out = run.outcomes.remove(1);
-            let base_out = run.outcomes.remove(0);
+                let mut oracle = ClairvoyantSink::new(sim, &groups);
+                let run = run_passive_with_sinks(
+                    sim,
+                    source,
+                    length,
+                    &mut [&mut baseline, &mut dcg],
+                    &mut [&mut oracle],
+                )?;
+                Ok((run, oracle.into_styles()))
+            },
+        );
+        let dcg_out = run.outcomes.remove(1);
+        let base_out = run.outcomes.remove(0);
 
-            let mut plb = Plb::new(PlbVariant::Ext, sim, &groups);
-            let plb_ext = run_active(sim, k.stream(), length, &mut plb);
-            let oracle = run_oracle(sim, k.stream(), length);
+        let mut plb = Plb::new(PlbVariant::Ext, sim, &groups);
+        let plb_ext = run_active(sim, k.stream(), length, &mut plb);
 
-            KernelRun {
-                name: k.name,
-                baseline: base_out.report,
-                dcg: dcg_out,
-                plb_ext,
-                oracle,
-                stats: run.stats,
-            }
+        KernelRun {
+            name: k.name,
+            baseline: base_out.report,
+            dcg: dcg_out,
+            plb_ext,
+            oracle: styles.oracle(),
+            stats: run.stats,
         }
     })
 }

@@ -2,14 +2,14 @@
 //! (optionally) both PLB variants.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcg_core::{
-    run_active, run_passive_with_sinks, ActivitySink, CacheHealth, Dcg, DcgError, MetricsReport,
-    MetricsSink, NoGating, PassiveRun, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
+    run_active, run_passive_with_sinks, run_sharded_with, ActivitySource, CacheHealth, Dcg,
+    DcgError, MetricsReport, MetricsSink, NoGating, PassiveRun, Plb, PlbVariant, PolicyOutcome,
+    RunLength, TraceCache,
 };
 use dcg_power::{Component, PowerReport};
-use dcg_sim::{LatchGroups, Processor, SimConfig, SimStats};
+use dcg_sim::{LatchGroups, SimConfig, SimStats};
 use dcg_workloads::{BenchmarkProfile, Spec2000, SuiteKind, SyntheticWorkload};
 
 /// Experiment-wide parameters.
@@ -252,52 +252,23 @@ impl Suite {
     /// [`crate::suite_metrics_json_with`] reports.
     pub fn run_with_health(cfg: &ExperimentConfig, with_plb: bool) -> (Suite, CacheHealth) {
         let ((runs, failures, health), wall_ns) = dcg_testkit::bench::time(|| {
-            let n = cfg.benchmarks.len();
-            let workers = suite_workers().min(n.max(1));
             let cache = TraceCache::from_env();
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Result<BenchmarkRun, SuiteFailure>>> =
-                (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    (0..workers)
-                        .map(|_| {
-                            let next = &next;
-                            let cache = cache.as_ref();
-                            scope.spawn(move || {
-                                let mut done = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= n {
-                                        break;
-                                    }
-                                    // One panicking benchmark must not kill the
-                                    // suite: capture the payload and keep
-                                    // draining the queue.
-                                    let profile = cfg.benchmarks[i];
-                                    let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                                        Self::run_one(cfg, profile, with_plb, cache)
-                                    }))
-                                    .map_err(|payload| SuiteFailure {
-                                        name: profile.name.to_string(),
-                                        message: panic_message(payload),
-                                    });
-                                    done.push((i, run));
-                                }
-                                done
-                            })
-                        })
-                        .collect();
-                for h in handles {
-                    for (i, run) in h.join().expect("benchmark worker panicked") {
-                        slots[i] = Some(run);
-                    }
-                }
+            let outcomes = run_sharded_with(suite_workers(), cfg.benchmarks.len(), |i| {
+                // One panicking benchmark must not kill the suite:
+                // capture the payload and keep draining the queue.
+                let profile = cfg.benchmarks[i];
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    Self::run_one(cfg, profile, with_plb, cache.as_ref())
+                }))
+                .map_err(|payload| SuiteFailure {
+                    name: profile.name.to_string(),
+                    message: panic_message(payload),
+                })
             });
-            let mut runs = Vec::with_capacity(n);
+            let mut runs = Vec::with_capacity(outcomes.len());
             let mut failures = Vec::new();
-            for s in slots {
-                match s.expect("every benchmark index was claimed by a worker") {
+            for outcome in outcomes {
+                match outcome {
                     Ok(run) => runs.push(run),
                     Err(failure) => failures.push(failure),
                 }
@@ -313,14 +284,12 @@ impl Suite {
         (suite, health)
     }
 
-    /// The shared passive pass (baseline + DCG + metrics sink), cached or
-    /// live. Policies and sinks are built inside, so a failed cached
-    /// replay can be retried from scratch — the failed drive already fed
-    /// the old instances a partial stream.
+    /// The shared passive pass (baseline + DCG + metrics sink) over one
+    /// source, cached or live. Policies and sinks are built inside, so a
+    /// failed cached replay can be retried from scratch.
     fn passive_pass(
         cfg: &ExperimentConfig,
-        profile: BenchmarkProfile,
-        cache: Option<&TraceCache>,
+        source: &mut dyn ActivitySource,
     ) -> Result<(PassiveRun, MetricsReport), DcgError> {
         let groups = LatchGroups::new(&cfg.sim.depth);
         let mut baseline = NoGating::new(&cfg.sim, &groups);
@@ -330,20 +299,13 @@ impl Suite {
         // same pass — cached replay or live — without extra simulations.
         let mut dcg_probe = Dcg::new(&cfg.sim, &groups);
         let mut metrics_sink = MetricsSink::new(&mut dcg_probe, &cfg.sim, &groups);
-        let policies: &mut [&mut dyn dcg_core::GatingPolicy] = &mut [&mut baseline, &mut dcg];
-        let run = {
-            let extra: &mut [&mut dyn ActivitySink] = &mut [&mut metrics_sink];
-            match cache {
-                Some(c) => c.run_passive_cached_with(
-                    &cfg.sim, profile, cfg.seed, cfg.length, policies, extra,
-                )?,
-                None => {
-                    let mut cpu =
-                        Processor::new(cfg.sim.clone(), SyntheticWorkload::new(profile, cfg.seed));
-                    run_passive_with_sinks(&cfg.sim, &mut cpu, cfg.length, policies, extra)?
-                }
-            }
-        };
+        let run = run_passive_with_sinks(
+            &cfg.sim,
+            source,
+            cfg.length,
+            &mut [&mut baseline, &mut dcg],
+            &mut [&mut metrics_sink],
+        )?;
         Ok((run, metrics_sink.into_report()))
     }
 
@@ -356,21 +318,15 @@ impl Suite {
     ) -> BenchmarkRun {
         let started = std::time::Instant::now();
         let groups = LatchGroups::new(&cfg.sim.depth);
-        let (mut run, metrics) = match Self::passive_pass(cfg, profile, cache) {
-            Ok(out) => out,
-            Err(e) => {
-                // Fail open: the cached replay died mid-drive (the cache
-                // has evicted the entry and counted the failure). Rebuild
-                // everything and simulate live — correct results, just
-                // without the replay speedup.
-                eprintln!(
-                    "warning: {}: cached replay failed ({e}); re-simulating live",
-                    profile.name
-                );
-                Self::passive_pass(cfg, profile, None)
-                    .expect("a live simulation source cannot fail")
-            }
-        };
+        let (mut run, metrics) = TraceCache::run_fail_open(
+            cache,
+            &cfg.sim,
+            profile.name,
+            cfg.seed,
+            cfg.length,
+            || SyntheticWorkload::new(profile, cfg.seed),
+            |source| Self::passive_pass(cfg, source),
+        );
         let dcg_out = run.outcomes.remove(1);
         let base_out = run.outcomes.remove(0);
 

@@ -196,12 +196,19 @@ impl JobError {
 /// bytes persisted and served to clients, newline-terminated).
 ///
 /// `state_dir` is the server's state directory; replay jobs root their
-/// trace store under `<state_dir>/traces`.
+/// trace store under `<state_dir>/traces`. This one-shot form opens that
+/// store for the call; the server runs every job against the one cache
+/// it holds.
 ///
 /// # Errors
 ///
 /// [`JobError`] with the retryable flag classified per failure cause.
 pub fn run_job(spec: &JobSpec, state_dir: &Path) -> Result<String, JobError> {
+    run_job_in(spec, &TraceCache::new(state_dir.join("traces")))
+}
+
+/// [`run_job`] with replay jobs served from `traces`.
+pub(crate) fn run_job_in(spec: &JobSpec, traces: &TraceCache) -> Result<String, JobError> {
     match spec {
         JobSpec::Simulate { bench, seed, quick } => {
             let (cfg, groups, profile, length) = single_setup(bench, *quick)?;
@@ -213,10 +220,9 @@ pub fn run_job(spec: &JobSpec, state_dir: &Path) -> Result<String, JobError> {
         }
         JobSpec::Replay { bench, seed, quick } => {
             let (cfg, groups, profile, length) = single_setup(bench, *quick)?;
-            let cache = TraceCache::new(state_dir.join("traces"));
             let mut baseline = NoGating::new(&cfg, &groups);
             let mut dcg = Dcg::new(&cfg, &groups);
-            let run = cache
+            let run = traces
                 .run_passive_cached(&cfg, profile, *seed, length, &mut [&mut baseline, &mut dcg])
                 .map_err(|e| JobError::retryable(format!("cached run failed: {e}")))?;
             Ok(single_doc("replay", bench, *seed, &run))

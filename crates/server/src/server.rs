@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use dcg_core::{durable, TraceCache};
 use dcg_testkit::json::Json;
 
-use crate::jobs::{run_job, JobClass, JobError, JobSpec};
+use crate::jobs::{run_job_in, JobClass, JobError, JobSpec};
 use crate::protocol::{err_code, read_frame, write_frame, ProtocolError, Reply, Request};
 use crate::wal::{JobWal, WalRecord};
 
@@ -255,6 +255,9 @@ pub enum SubmitOutcome {
 pub struct ExperimentServer {
     cfg: ServerConfig,
     wal: JobWal,
+    /// The trace store under `<state_dir>/traces`, shared by every
+    /// replay job so its health counters accumulate across jobs.
+    traces: TraceCache,
     inner: Mutex<Inner>,
     work: Condvar,
     shutdown: AtomicBool,
@@ -332,6 +335,7 @@ impl ExperimentServer {
         }
 
         let server = ExperimentServer {
+            traces: TraceCache::new(cfg.state_dir.join("traces")),
             cfg,
             wal,
             inner: Mutex::new(Inner::default()),
@@ -465,8 +469,7 @@ impl ExperimentServer {
         let open = inner.open as u64;
         drop(inner);
         let c = &self.counters;
-        let cache = TraceCache::new(self.cfg.state_dir.join("traces"));
-        let ch = cache.health();
+        let ch = self.traces.health();
         let doc = Json::obj([
             ("open_jobs", Json::u64(open)),
             ("queue_capacity", Json::u64(self.cfg.queue_capacity as u64)),
@@ -598,10 +601,10 @@ impl ExperimentServer {
         let deadline = self.cfg.deadline_for(spec.class());
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let body_spec = spec.clone();
-        let state_dir = self.cfg.state_dir.clone();
+        let traces = self.traces.clone();
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(&body_spec, &state_dir)
+                run_job_in(&body_spec, &traces)
             }));
             let _ = tx.send(result);
         });
@@ -1030,6 +1033,30 @@ mod tests {
         // And the completion is durable.
         let again = ExperimentServer::open(cfg).unwrap();
         assert_eq!(again.status(a.id()).unwrap().0, JobState::Done);
+    }
+
+    #[test]
+    fn replay_jobs_share_one_cache_whose_failures_reach_health() {
+        // A regular file where the trace store directory belongs: every
+        // replay job's store fails, the runs still succeed, and the
+        // failures land in the server's one cache — which Health reads.
+        let dir = scratch("health-store-failure");
+        std::fs::write(dir.join("traces"), b"not a directory").unwrap();
+        let server = ExperimentServer::open(ServerConfig::new(dir)).unwrap();
+        for seed in [1, 2] {
+            server.submit(JobSpec::Replay {
+                bench: "gzip".into(),
+                seed,
+                quick: true,
+            });
+        }
+        server.drain();
+        assert_eq!(server.counters.completed.load(Ordering::Relaxed), 2);
+        let health = server.health_json();
+        assert!(
+            health.contains(r#""store_failures":2"#),
+            "both failed stores must show in Health: {health}"
+        );
     }
 
     #[test]

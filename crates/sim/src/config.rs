@@ -363,6 +363,50 @@ impl SimConfig {
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
+        // Exhaustive destructuring (no `..`): a new field fails to compile
+        // here until it is part of the key.
+        let SimConfig {
+            fetch_width,
+            issue_width,
+            commit_width,
+            rob_entries,
+            iq_entries,
+            lsq_entries,
+            int_alus,
+            int_muldivs,
+            fp_alus,
+            fp_muldivs,
+            mem_ports,
+            result_buses,
+            depth:
+                PipelineDepth {
+                    fetch,
+                    decode,
+                    rename,
+                    issue,
+                    regread,
+                    execute,
+                    mem,
+                    writeback,
+                },
+            bpred:
+                BpredConfig {
+                    kind,
+                    pht_entries,
+                    history_bits,
+                    btb_entries,
+                    btb_ways,
+                    ras_entries,
+                },
+            icache,
+            dcache,
+            l2,
+            mem_latency,
+            store_timing,
+            dcache_next_line_prefetch,
+            op_latency,
+            unpipelined,
+        } = self;
         let mut state = OFFSET;
         let mut mix = |v: u64| {
             for byte in v.to_le_bytes() {
@@ -371,55 +415,61 @@ impl SimConfig {
             }
         };
         for v in [
-            self.fetch_width as u64,
-            self.issue_width as u64,
-            self.commit_width as u64,
-            self.rob_entries as u64,
-            self.iq_entries as u64,
-            self.lsq_entries as u64,
-            self.int_alus as u64,
-            self.int_muldivs as u64,
-            self.fp_alus as u64,
-            self.fp_muldivs as u64,
-            self.mem_ports as u64,
-            self.result_buses as u64,
-            self.depth.fetch as u64,
-            self.depth.decode as u64,
-            self.depth.rename as u64,
-            self.depth.issue as u64,
-            self.depth.regread as u64,
-            self.depth.execute as u64,
-            self.depth.mem as u64,
-            self.depth.writeback as u64,
-            match self.bpred.kind {
+            *fetch_width as u64,
+            *issue_width as u64,
+            *commit_width as u64,
+            *rob_entries as u64,
+            *iq_entries as u64,
+            *lsq_entries as u64,
+            *int_alus as u64,
+            *int_muldivs as u64,
+            *fp_alus as u64,
+            *fp_muldivs as u64,
+            *mem_ports as u64,
+            *result_buses as u64,
+            *fetch as u64,
+            *decode as u64,
+            *rename as u64,
+            *issue as u64,
+            *regread as u64,
+            *execute as u64,
+            *mem as u64,
+            *writeback as u64,
+            match kind {
                 PredictorKind::TwoLevel => 0,
                 PredictorKind::Bimodal => 1,
             },
-            self.bpred.pht_entries as u64,
-            u64::from(self.bpred.history_bits),
-            self.bpred.btb_entries as u64,
-            self.bpred.btb_ways as u64,
-            self.bpred.ras_entries as u64,
-            u64::from(self.mem_latency),
-            match self.store_timing {
+            *pht_entries as u64,
+            u64::from(*history_bits),
+            *btb_entries as u64,
+            *btb_ways as u64,
+            *ras_entries as u64,
+            u64::from(*mem_latency),
+            match store_timing {
                 StoreTiming::KnownOneCycleAhead => 0,
                 StoreTiming::DelayOneCycle => 1,
             },
-            u64::from(self.dcache_next_line_prefetch),
+            u64::from(*dcache_next_line_prefetch),
         ] {
             mix(v);
         }
-        for c in [&self.icache, &self.dcache, &self.l2] {
-            mix(c.size_bytes);
-            mix(c.ways as u64);
-            mix(c.line_bytes);
-            mix(u64::from(c.latency));
+        for CacheConfig {
+            size_bytes,
+            ways,
+            line_bytes,
+            latency,
+        } in [icache, dcache, l2]
+        {
+            mix(*size_bytes);
+            mix(*ways as u64);
+            mix(*line_bytes);
+            mix(u64::from(*latency));
         }
-        for lat in self.op_latency {
-            mix(u64::from(lat));
+        for lat in op_latency {
+            mix(u64::from(*lat));
         }
-        for up in self.unpipelined {
-            mix(u64::from(up));
+        for up in unpipelined {
+            mix(u64::from(*up));
         }
         state
     }
@@ -543,7 +593,13 @@ mod tests {
     #[test]
     fn digest_is_stable_and_field_sensitive() {
         let base = SimConfig::baseline_8wide();
-        assert_eq!(base.digest(), SimConfig::baseline_8wide().digest());
+        // Pinned: the digest keys every cached trace, so a change here
+        // strands every existing store's entries.
+        assert_eq!(base.digest(), 0x18a2_2900_33eb_b677);
+        assert_eq!(
+            SimConfig::deep_pipeline_20().digest(),
+            0xaf85_3f5a_baa0_20b7
+        );
         assert_ne!(base.digest(), SimConfig::deep_pipeline_20().digest());
         let fewer_alus = SimConfig {
             int_alus: 4,

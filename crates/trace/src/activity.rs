@@ -579,14 +579,6 @@ pub struct ActivityTraceReader {
     block_left: u32,
     /// Committed total the current block's subheader claims.
     block_committed: u64,
-    /// Decoded block the scalar [`read_cycle`] shim serves records from.
-    ///
-    /// [`read_cycle`]: ActivityTraceReader::read_cycle
-    cur: Box<ActivityBlock>,
-    /// Next record to extract from `cur`.
-    cur_idx: u32,
-    /// Records left to serve from `cur`.
-    cur_left: u32,
 }
 
 /// Read one raw u64 LE lane mask, rejecting bits at or above `n`.
@@ -1072,7 +1064,6 @@ impl ActivityTraceReader {
                 len = base;
             }
         }
-        let groups = header.groups as usize;
         Ok(ActivityTraceReader {
             data,
             start,
@@ -1085,9 +1076,6 @@ impl ActivityTraceReader {
             block_end: start,
             block_left: 0,
             block_committed: 0,
-            cur: Box::new(ActivityBlock::new(groups)),
-            cur_idx: 0,
-            cur_left: 0,
         })
     }
 
@@ -1161,65 +1149,21 @@ impl ActivityTraceReader {
         self.committed
     }
 
-    /// Decode the next cycle into `act` (reusing its allocations);
-    /// returns `Ok(false)` at a clean end of file, in which case `act` is
-    /// left unspecified.
-    ///
-    /// This is the scalar compatibility shim over the columnar payload:
-    /// each block is decoded whole into an internal [`ActivityBlock`] on
-    /// entry, then served record by record via
-    /// [`extract`](ActivityBlock::extract). Corruption anywhere in a
-    /// block therefore surfaces on the first read that touches it.
-    ///
-    /// # Errors
-    ///
-    /// Fails — never panics — on truncated payloads, lane masks with
-    /// bits past the block length, out-of-range fields or I/O errors.
-    pub fn read_cycle(&mut self, act: &mut CycleActivity) -> Result<bool, TraceError> {
-        if self.cur_left == 0 {
-            if !self.enter_block()? {
-                return Ok(false);
-            }
-            let n = self.block_left as usize;
-            decode_block_into(
-                &self.data[..self.len],
-                self.pos,
-                self.block_end,
-                n,
-                self.cycles + 1,
-                self.block_committed,
-                &mut self.cur,
-            )?;
-            self.pos = self.block_end;
-            self.block_left = 0;
-            self.cur_idx = 0;
-            self.cur_left = n as u32;
-        }
-        self.cur.extract(self.cur_idx as usize, act);
-        self.cur_idx += 1;
-        self.cur_left -= 1;
-        self.cycles += 1;
-        self.committed += u64::from(act.committed);
-        Ok(true)
-    }
-
     /// Decode the next whole block straight into `block` (struct-of-arrays
     /// form, lane masks included); returns `Ok(false)` at a clean end of
     /// stream. This is the hot replay path: one payload-checksum pass per
     /// block, then a mask-guided columnar decode that never touches the
-    /// zero lanes and materializes no per-record `CycleActivity`. Must be
-    /// called at a block boundary — mixing it with
-    /// [`read_cycle`](ActivityTraceReader::read_cycle) is allowed only
-    /// when the scalar reads have consumed full blocks.
+    /// zero lanes and materializes no per-record `CycleActivity`; a
+    /// consumer that wants single cycles extracts them from the block
+    /// ([`ActivityBlock::extract`]). Corruption anywhere in a block
+    /// therefore surfaces on the read that enters it.
     ///
     /// # Errors
     ///
-    /// Fails on a misaligned call, a `block` sized for the wrong latch
-    /// geometry, or any corruption [`read_cycle`] would report.
+    /// Fails — never panics — on a `block` sized for the wrong latch
+    /// geometry, truncated payloads, lane masks with bits past the block
+    /// length, out-of-range fields or I/O errors.
     pub fn read_block(&mut self, block: &mut ActivityBlock) -> Result<bool, TraceError> {
-        if self.cur_left != 0 {
-            return Err(TraceError::BadActivity("block read misaligned"));
-        }
         if block.groups != self.header.groups as usize {
             return Err(TraceError::BadActivity("latch group count mismatch"));
         }
@@ -1250,8 +1194,8 @@ impl ActivityTraceReader {
     ///
     /// Fails on the first malformed record.
     pub fn scan(&mut self) -> Result<(u64, u64), TraceError> {
-        let mut act = CycleActivity::default();
-        while self.read_cycle(&mut act)? {}
+        let mut block = ActivityBlock::new(self.header.groups as usize);
+        while self.read_block(&mut block)? {}
         Ok((self.cycles, self.committed))
     }
 
@@ -1273,11 +1217,10 @@ impl ActivityTraceReader {
     /// Returns `None` when the trace is not trailer-verified or its
     /// committed total does not cover the window — callers fall back to
     /// a full decode, which reports the precise failure. The reader's
-    /// cursor is untouched; this never interacts with
-    /// [`read_cycle`]/[`read_block`] state.
+    /// cursor is untouched; this never interacts with [`read_block`]
+    /// state.
     ///
     /// [`from_data`]: ActivityTraceReader::from_data
-    /// [`read_cycle`]: ActivityTraceReader::read_cycle
     /// [`read_block`]: ActivityTraceReader::read_block
     ///
     /// # Errors
@@ -1400,8 +1343,6 @@ impl ActivityTraceReader {
         self.block_end = self.start;
         self.block_left = 0;
         self.block_committed = 0;
-        self.cur_idx = 0;
-        self.cur_left = 0;
     }
 }
 
@@ -1438,6 +1379,20 @@ mod tests {
         let rbytes = (base - header_len) as u64;
         buf[base + 24..base + 32].copy_from_slice(&rbytes.to_le_bytes());
         buf[base + 32..base + 40].copy_from_slice(&chk.finish().to_le_bytes());
+    }
+
+    /// Every remaining record, decoded block by block.
+    fn read_all(r: &mut ActivityTraceReader) -> Result<Vec<CycleActivity>, TraceError> {
+        let mut block = ActivityBlock::new(r.header().groups as usize);
+        let mut out = Vec::new();
+        while r.read_block(&mut block)? {
+            for i in 0..block.len() {
+                let mut act = CycleActivity::default();
+                block.extract(i, &mut act);
+                out.push(act);
+            }
+        }
+        Ok(out)
     }
 
     fn sample(cycle: u64, groups: usize) -> CycleActivity {
@@ -1527,12 +1482,7 @@ mod tests {
         w.finish().expect("finish");
 
         let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
-        let mut act = CycleActivity::default();
-        for expect in &cycles {
-            assert!(r.read_cycle(&mut act).expect("read"));
-            assert_eq!(&act, expect);
-        }
-        assert!(!r.read_cycle(&mut act).expect("clean eof"));
+        assert_eq!(read_all(&mut r).expect("read"), cycles);
         assert_eq!(r.cycles_read(), 5);
         assert_eq!(r.committed(), 20);
     }
@@ -1580,13 +1530,6 @@ mod tests {
         buf[hl + ACTIVITY_BLOCK_HEADER_LEN] |= 0b10;
         fix_integrity(&mut buf, hl);
         let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
-        let mut act = CycleActivity::default();
-        assert!(matches!(
-            r.read_cycle(&mut act),
-            Err(TraceError::BadActivity("lane mask exceeds block length"))
-        ));
-        // The same corruption fails the block read path too.
-        let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
         let mut block = ActivityBlock::new(0);
         assert!(matches!(
             r.read_block(&mut block),
@@ -1612,9 +1555,8 @@ mod tests {
         buf[fetched_value] = 0;
         fix_integrity(&mut buf, hl);
         let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
-        let mut act = CycleActivity::default();
         assert!(matches!(
-            r.read_cycle(&mut act),
+            read_all(&mut r),
             Err(TraceError::BadActivity("zero value under set mask bit"))
         ));
     }
@@ -1636,12 +1578,6 @@ mod tests {
         buf2[class_at] = FuClass::COUNT as u8;
         fix_integrity(&mut buf2, hl);
         let mut r = ActivityTraceReader::new(&buf2[..]).expect("header");
-        let mut act = CycleActivity::default();
-        assert!(matches!(
-            r.read_cycle(&mut act),
-            Err(TraceError::BadActivity("grant class out of range"))
-        ));
-        let mut r = ActivityTraceReader::new(&buf2[..]).expect("header");
         let mut block = ActivityBlock::new(0);
         assert!(matches!(
             r.read_block(&mut block),
@@ -1661,8 +1597,7 @@ mod tests {
         let cut = &buf[..buf.len() - ACTIVITY_TRAILER_LEN - 1];
         let mut r = ActivityTraceReader::new(cut).expect("header intact");
         assert_eq!(r.verified_totals(), None);
-        let mut act = CycleActivity::default();
-        assert!(r.read_cycle(&mut act).is_err());
+        assert!(read_all(&mut r).is_err());
     }
 
     #[test]
@@ -1708,50 +1643,42 @@ mod tests {
     }
 
     #[test]
-    fn read_block_matches_read_cycle() {
+    fn read_block_round_trips_across_blocks_and_rewinds() {
         let groups = 8;
         let mut buf = Vec::new();
         let mut w = ActivityTraceWriter::new(&mut buf, &header(groups)).expect("header");
         // 2 full blocks plus a short tail block.
         let total = 2 * BLOCK_CYCLES as u64 + 17;
-        for c in 1..=total {
-            let mut a = sample(c, groups);
-            a.committed = (c % 5) as u32;
-            a.icache_access = c % 2 == 0;
-            if c % 3 == 0 {
-                a.grants.clear();
-            }
-            w.write_cycle(&a).expect("write");
+        let written: Vec<CycleActivity> = (1..=total)
+            .map(|c| {
+                let mut a = sample(c, groups);
+                a.committed = (c % 5) as u32;
+                a.icache_access = c % 2 == 0;
+                if c % 3 == 0 {
+                    a.grants.clear();
+                }
+                a
+            })
+            .collect();
+        for a in &written {
+            w.write_cycle(a).expect("write");
         }
         w.finish().expect("finish");
 
-        let mut scalar = ActivityTraceReader::new(&buf[..]).expect("header");
-        let mut blocked = ActivityTraceReader::new(&buf[..]).expect("header");
+        let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
+        assert_eq!(read_all(&mut r).expect("read"), written);
+        assert_eq!(r.cycles_read(), total);
+        let committed: u64 = written.iter().map(|a| u64::from(a.committed)).sum();
+        assert_eq!(r.committed(), committed);
+        r.rewind();
         let mut block = ActivityBlock::new(groups);
-        let mut want = CycleActivity::default();
-        let mut got = CycleActivity::default();
-        let mut seen = 0u64;
-        while blocked.read_block(&mut block).expect("read block") {
-            for i in 0..block.len() {
-                assert!(scalar.read_cycle(&mut want).expect("read"));
-                block.extract(i, &mut got);
-                assert_eq!(got, want, "cycle {}", want.cycle);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, total);
-        assert!(!scalar.read_cycle(&mut want).expect("eof"));
-        assert_eq!(blocked.cycles_read(), scalar.cycles_read());
-        assert_eq!(blocked.committed(), scalar.committed());
-        // Rewind works on the block path too.
-        blocked.rewind();
-        assert!(blocked.read_block(&mut block).expect("re-read"));
+        assert!(r.read_block(&mut block).expect("re-read"));
         assert_eq!(block.first_cycle, 1);
         assert_eq!(block.len(), BLOCK_CYCLES);
     }
 
     #[test]
-    fn read_block_rejects_misaligned_and_wrong_geometry() {
+    fn read_block_rejects_wrong_geometry() {
         let groups = 4;
         let mut buf = Vec::new();
         let mut w = ActivityTraceWriter::new(&mut buf, &header(groups)).expect("header");
@@ -1759,15 +1686,6 @@ mod tests {
             w.write_cycle(&sample(c, groups)).expect("write");
         }
         w.finish().expect("finish");
-
-        let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
-        let mut act = CycleActivity::default();
-        assert!(r.read_cycle(&mut act).expect("read"));
-        let mut block = ActivityBlock::new(groups);
-        assert!(matches!(
-            r.read_block(&mut block),
-            Err(TraceError::BadActivity("block read misaligned"))
-        ));
 
         let mut r = ActivityTraceReader::new(&buf[..]).expect("header");
         let mut wrong = ActivityBlock::new(groups + 1);

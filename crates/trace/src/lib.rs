@@ -12,11 +12,14 @@
 //! then a trailer with totals and a checksum over the block subheaders
 //! (DESIGN.md §9 and §13 describe the layout). Open verifies the
 //! trailer; each block's payload is verified when the decoder first
-//! enters it. [`TraceData`] serves the bytes zero-copy from an `mmap(2)`
-//! view where available.
+//! enters it. The reader decodes whole blocks
+//! ([`ActivityTraceReader::read_block`]); a consumer that wants single
+//! cycles extracts them from the block ([`dcg_sim::ActivityBlock::extract`]),
+//! which is how `dcg-core`'s replay source serves them. [`TraceData`]
+//! serves the bytes zero-copy from an `mmap(2)` view where available.
 //!
 //! ```
-//! use dcg_sim::CycleActivity;
+//! use dcg_sim::{ActivityBlock, CycleActivity};
 //! use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter};
 //!
 //! # fn main() -> Result<(), dcg_trace::TraceError> {
@@ -34,9 +37,11 @@
 //!
 //! let mut reader = ActivityTraceReader::new(&bytes[..])?;
 //! assert_eq!(reader.verified_totals(), Some((3, 3)));
+//! let mut block = ActivityBlock::new(4);
+//! assert!(reader.read_block(&mut block)?);
 //! let mut replayed = CycleActivity::default();
-//! assert!(reader.read_cycle(&mut replayed)?);
-//! assert_eq!((replayed.cycle, replayed.committed), (1, 1));
+//! block.extract(0, &mut replayed);
+//! assert_eq!((block.len(), replayed.cycle, replayed.committed), (3, 1, 1));
 //! # Ok(())
 //! # }
 //! ```

@@ -183,9 +183,8 @@ fn measured_window_matches_scalar_drive_reference() {
             let target = warm + measure;
 
             // Reference: the scalar drive loop's top-of-iteration checks,
-            // verbatim.
-            let mut r = ActivityTraceReader::new(&buf[..]).expect("reader");
-            let mut act = dcg_sim::CycleActivity::default();
+            // verbatim, over the records as written.
+            let mut records = cycles.iter();
             let mut cum = 0u64;
             let (mut ref_cycles, mut ref_committed) = (0u64, 0u64);
             let mut measuring = false;
@@ -194,10 +193,10 @@ fn measured_window_matches_scalar_drive_reference() {
                 if !measuring && cum >= warm {
                     measuring = true;
                 }
-                if !r.read_cycle(&mut act).expect("clean trace") {
+                let Some(act) = records.next() else {
                     covered = false;
                     break;
-                }
+                };
                 cum += u64::from(act.committed);
                 if measuring {
                     ref_cycles += 1;

@@ -3,9 +3,11 @@
 //! truncated input.
 
 use dcg_isa::FuClass;
-use dcg_sim::{CycleActivity, FuGrant};
+use dcg_sim::{ActivityBlock, CycleActivity, FuGrant};
 use dcg_testkit::prop::{self, Gen};
-use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter, ACTIVITY_TRAILER_LEN};
+use dcg_trace::{
+    ActivityHeader, ActivityTraceReader, ActivityTraceWriter, TraceError, ACTIVITY_TRAILER_LEN,
+};
 
 /// Latch-group count used by all activity-frame property tests.
 const ACT_GROUPS: usize = 6;
@@ -69,6 +71,24 @@ fn arb_activity() -> Gen<CycleActivity> {
     })
 }
 
+/// Every record, decoded block by block, plus the error that stopped the
+/// decode early (if any).
+fn decode_all(r: &mut ActivityTraceReader) -> (Vec<CycleActivity>, Option<TraceError>) {
+    let mut block = ActivityBlock::new(ACT_GROUPS);
+    let mut out = Vec::new();
+    loop {
+        match r.read_block(&mut block) {
+            Ok(true) => out.extend((0..block.len()).map(|i| {
+                let mut a = CycleActivity::default();
+                block.extract(i, &mut a);
+                a
+            })),
+            Ok(false) => return (out, None),
+            Err(e) => return (out, Some(e)),
+        }
+    }
+}
+
 fn encode_activities(cycles: &[CycleActivity]) -> Vec<u8> {
     let mut w = ActivityTraceWriter::new(Vec::new(), &act_header()).expect("header");
     for a in cycles {
@@ -91,15 +111,14 @@ fn activity_roundtrip_any_records() {
                 Some((cycles.len() as u64, committed)),
                 "trailer totals match what was written"
             );
-            let mut back = CycleActivity::default();
+            // Cycle numbers are implicit in the frame; the reader
+            // reconstructs them by counting.
             for (i, expect) in cycles.iter_mut().enumerate() {
-                // Cycle numbers are implicit in the frame; the reader
-                // reconstructs them by counting.
                 expect.cycle = i as u64 + 1;
-                assert!(r.read_cycle(&mut back).expect("read"));
-                assert_eq!(&back, expect, "record {i}");
             }
-            assert!(!r.read_cycle(&mut back).expect("clean eof"));
+            let (back, err) = decode_all(&mut r);
+            assert!(err.is_none(), "clean eof");
+            assert_eq!(back, cycles);
         },
     );
 }
@@ -119,8 +138,7 @@ fn activity_arbitrary_byte_tails_never_panic() {
                 Ok(r) => r,
                 Err(_) => return, // garbage can fake a trailer with a bad checksum
             };
-            let mut act = CycleActivity::default();
-            while let Ok(true) = r.read_cycle(&mut act) {}
+            let _ = decode_all(&mut r);
         },
     );
 }
@@ -148,20 +166,12 @@ fn activity_truncated_streams_error_cleanly() {
                 Err(_) => return, // cut inside the trailer can fail the checksum
             };
             assert_eq!(r.verified_totals(), None, "a cut file is never verified");
-            let mut act = CycleActivity::default();
-            let mut decoded = 0usize;
-            loop {
-                match r.read_cycle(&mut act) {
-                    Ok(true) => decoded += 1,
-                    // A cut on a record boundary reads as clean early EOF.
-                    Ok(false) => break,
-                    Err(e) => {
-                        let _ = format!("{e}"); // displayable, not a panic
-                        break;
-                    }
-                }
+            // A cut on a block boundary reads as clean early EOF.
+            let (decoded, err) = decode_all(&mut r);
+            if let Some(e) = err {
+                let _ = format!("{e}"); // displayable, not a panic
             }
-            assert!(decoded <= cycles.len());
+            assert!(decoded.len() <= cycles.len());
         },
     );
 }

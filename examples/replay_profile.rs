@@ -1,6 +1,6 @@
 //! Scratch probe: warm-replay cost breakdown (decode vs stats vs energy).
 
-use dcg_core::{NoGating, ReplaySource, RunLength, TraceCache};
+use dcg_core::{run_passive_with_sinks, NoGating, ReplaySource, RunLength, TraceCache};
 use dcg_sim::{LatchGroups, SimConfig};
 use dcg_trace::ActivityTraceReader;
 use dcg_workloads::{Spec2000, SyntheticWorkload};
@@ -61,12 +61,12 @@ fn main() {
             "warm stats-only (blocks)",
             5,
             Box::new(move || {
-                let s = cache
-                    .run_stats_cached_stream(&cfg, profile.name, 1, length, || {
+                let mut src =
+                    TraceCache::source(Some(&cache), &cfg, profile.name, 1, length, || {
                         SyntheticWorkload::new(profile, 1)
-                    })
-                    .unwrap();
-                std::hint::black_box(s.cycles);
+                    });
+                let run = run_passive_with_sinks(&cfg, &mut src, length, &mut [], &mut []);
+                std::hint::black_box(src.finish(run).unwrap().stats.cycles);
             }),
         );
     }

@@ -133,20 +133,31 @@ fn energy_accounting_is_an_exact_identity() {
 
 #[test]
 fn dcg_tracks_the_clairvoyant_oracle() {
-    use dcg_repro::core::run_oracle;
-    use dcg_repro::core::RunLength;
-    use dcg_repro::workloads::{Spec2000, SyntheticWorkload};
+    use dcg_repro::core::{run_passive_with_sinks, ClairvoyantSink};
+    use dcg_repro::sim::Processor;
 
+    // The oracle rides the same pass as the baseline and DCG.
     let cfg = SimConfig::baseline_8wide();
-    let r = run("gzip", &cfg);
+    let groups = LatchGroups::new(&cfg.depth);
+    let mut baseline = NoGating::new(&cfg, &groups);
+    let mut dcg = Dcg::new(&cfg, &groups);
+    let mut clairvoyant = ClairvoyantSink::new(&cfg, &groups);
+    let mut cpu = Processor::new(
+        cfg.clone(),
+        SyntheticWorkload::new(Spec2000::by_name("gzip").unwrap(), 11),
+    );
+    let r = run_passive_with_sinks(
+        &cfg,
+        &mut cpu,
+        RunLength::quick(),
+        &mut [&mut baseline, &mut dcg],
+        &mut [&mut clairvoyant],
+    )
+    .expect("a live simulation source cannot fail");
     let base = &r.outcomes[0].report;
     let dcg_saving = r.outcomes[1].report.power_saving_vs(base);
 
-    let oracle = run_oracle(
-        &cfg,
-        SyntheticWorkload::new(Spec2000::by_name("gzip").unwrap(), 11),
-        RunLength::quick(),
-    );
+    let oracle = clairvoyant.into_styles().oracle();
     let oracle_saving = oracle.report.power_saving_vs(base);
     assert!(
         oracle_saving >= dcg_saving - 1e-9,

@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 
 use dcg_repro::core::{
-    run_oracle, run_oracle_source, run_passive, run_passive_with_sinks, Dcg, MetricsSink, NoGating,
-    PassiveRun, RunLength, TraceCache,
+    run_passive, run_passive_with_sinks, ActivitySource, ClairvoyantSink, Dcg, MetricsSink,
+    NoGating, PassiveRun, RunLength, TraceCache,
 };
 use dcg_repro::experiments::metrics_json;
 use dcg_repro::power::{Component, PowerReport};
@@ -142,16 +142,17 @@ fn metrics_doc_cached(cache: &TraceCache, cfg: &SimConfig, name: &str) -> String
     let mut probe = Dcg::new(cfg, &groups);
     let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
     let profile = Spec2000::by_name(name).unwrap();
-    cache
-        .run_passive_cached_with(
-            cfg,
-            profile,
-            SEED,
-            RunLength::quick(),
-            &mut [&mut baseline, &mut dcg],
-            &mut [&mut metrics],
-        )
-        .expect("cached run over an intact entry");
+    let mut source = TraceCache::source(Some(cache), cfg, name, SEED, RunLength::quick(), || {
+        SyntheticWorkload::new(profile, SEED)
+    });
+    let run = run_passive_with_sinks(
+        cfg,
+        &mut source,
+        RunLength::quick(),
+        &mut [&mut baseline, &mut dcg],
+        &mut [&mut metrics],
+    );
+    source.finish(run).expect("cached run over an intact entry");
     metrics_json(&metrics.into_report()).to_string()
 }
 
@@ -184,29 +185,38 @@ fn metrics_json_is_byte_identical_across_live_and_replay() {
     }
 }
 
-/// The oracle runner accepts a replayed source too: clairvoyant gating is
-/// a pure function of the activity stream.
+/// The clairvoyant sink rides a replayed source too: oracle gating is a
+/// pure function of the activity stream.
 #[test]
 fn oracle_replays_bit_identically() {
     let cfg = SimConfig::baseline_8wide();
     let cache = fresh_cache("oracle");
     let profile = Spec2000::by_name("gzip").unwrap();
+    let oracle_bits = |source: &mut dyn ActivitySource| {
+        let groups = LatchGroups::new(&cfg.depth);
+        let mut clairvoyant = ClairvoyantSink::new(&cfg, &groups);
+        run_passive_with_sinks(
+            &cfg,
+            source,
+            RunLength::quick(),
+            &mut [],
+            &mut [&mut clairvoyant],
+        )
+        .expect("an intact source cannot fail");
+        report_bits(&clairvoyant.into_styles().oracle().report)
+    };
 
-    let live = run_oracle(
-        &cfg,
+    let live = oracle_bits(&mut Processor::new(
+        cfg.clone(),
         SyntheticWorkload::new(profile, SEED),
-        RunLength::quick(),
-    );
+    ));
 
-    // Populate the cache, then replay through the oracle runner.
+    // Populate the cache, then replay under the clairvoyant sink.
     let _ = passive_cached(&cache, &cfg, "gzip");
     let mut replay = cache
         .replay_source(&cfg, "gzip", SEED, RunLength::quick())
         .expect("cache entry");
-    let replayed = run_oracle_source(&cfg, &mut replay, RunLength::quick())
-        .expect("replaying an intact entry through the oracle cannot fail");
-
-    assert_eq!(report_bits(&live.report), report_bits(&replayed.report));
+    assert_eq!(live, oracle_bits(&mut replay));
 }
 
 /// Real-program kernel streams go through the same simulate-once cache as
@@ -229,16 +239,18 @@ fn kernel_stream_replays_bit_identically() {
         let groups = LatchGroups::new(&cfg.depth);
         let mut baseline = NoGating::new(&cfg, &groups);
         let mut dcg = Dcg::new(&cfg, &groups);
-        cache
-            .run_passive_cached_stream(
-                &cfg,
-                k.name,
-                KERNEL_SEED,
-                length,
-                || k.stream(),
-                &mut [&mut baseline, &mut dcg],
-                &mut [],
-            )
+        let mut source = TraceCache::source(Some(cache), &cfg, k.name, KERNEL_SEED, length, || {
+            k.stream()
+        });
+        let run = run_passive_with_sinks(
+            &cfg,
+            &mut source,
+            length,
+            &mut [&mut baseline, &mut dcg],
+            &mut [],
+        );
+        source
+            .finish(run)
             .expect("cached kernel run over an intact entry")
     };
 
