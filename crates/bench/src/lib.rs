@@ -20,10 +20,15 @@ use dcg_experiments::{ExperimentConfig, FigureTable, Suite};
 use dcg_testkit::bench::Harness;
 use dcg_testkit::json::Json;
 
+/// `true` under `DCG_BENCH_QUICK=1`, the reduced smoke-test configuration.
+fn quick() -> bool {
+    std::env::var_os("DCG_BENCH_QUICK").is_some()
+}
+
 /// The experiment configuration for benches (`DCG_BENCH_QUICK=1` shrinks
 /// it).
 pub fn bench_config() -> ExperimentConfig {
-    if std::env::var_os("DCG_BENCH_QUICK").is_some() {
+    if quick() {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::standard()
@@ -191,16 +196,52 @@ pub fn run_sim_throughput() -> std::io::Result<PathBuf> {
     {
         let mut g = h.group("pipeline");
         g.throughput_elements(10_000);
-        g.bench_function("commit_10k_insts_gzip", |b| {
+        // gzip keeps a short issue queue; mcf is memory-bound and fills the
+        // window, so its select walks and LSQ lookups are the long ones.
+        for bench in ["gzip", "mcf"] {
+            g.bench_function(&format!("commit_10k_insts_{bench}"), |b| {
+                let cfg = SimConfig::baseline_8wide();
+                let mut cpu = Processor::new(
+                    cfg,
+                    SyntheticWorkload::new(Spec2000::by_name(bench).unwrap(), 1),
+                );
+                cpu.run_until_commits(20_000, |_| {}); // warm structures
+                b.iter(|| {
+                    cpu.run_until_commits(10_000, |_| {});
+                });
+            });
+        }
+        // The PLB path: constraints change every 256-cycle window, cycling
+        // through PLB's 4-, 6- and 8-wide shapes (width and unit enables).
+        g.bench_function("commit_10k_insts_gzip_plb_modes", |b| {
+            use dcg_isa::FuClass;
+            use dcg_sim::ResourceConstraints;
             let cfg = SimConfig::baseline_8wide();
+            let full = ResourceConstraints::unrestricted(&cfg);
+            let modes = [4, 6, 8].map(|width| {
+                FuClass::ALL.iter().fold(
+                    full.with_issue_width(width).with_fetch_width(width),
+                    |c, &class| {
+                        let n = (cfg.fu_count(class) * width).div_ceil(8);
+                        c.with_enabled(class, n)
+                    },
+                )
+            });
             let mut cpu = Processor::new(
-                cfg,
+                cfg.clone(),
                 SyntheticWorkload::new(Spec2000::by_name("gzip").unwrap(), 1),
             );
-            cpu.run_until_commits(20_000, |_| {}); // warm structures
-            b.iter(|| {
-                cpu.run_until_commits(10_000, |_| {});
-            });
+            let run = |cpu: &mut Processor<SyntheticWorkload>, n: u64| {
+                let target = cpu.committed() + n;
+                while cpu.committed() < target {
+                    if cpu.cycle().is_multiple_of(256) {
+                        cpu.set_constraints(modes[(cpu.cycle() / 256) as usize % modes.len()]);
+                    }
+                    cpu.step();
+                }
+            };
+            run(&mut cpu, 20_000); // warm structures
+            b.iter(|| run(&mut cpu, 10_000));
         });
     }
 
@@ -298,8 +339,10 @@ pub fn run_sim_throughput() -> std::io::Result<PathBuf> {
 /// `crates/bench/results/suite_metrics.json` with per-benchmark component
 /// counters, occupancy histograms, windowed time series and the
 /// gating-decision audit trail, plus one utilization-over-time SVG per
-/// benchmark under the workspace `results/figures/`. Returns the JSON
-/// path and the number of benchmarks the suite lost to panics.
+/// benchmark under the workspace `results/figures/` (under
+/// `crates/bench/results/figures/` with `DCG_BENCH_QUICK=1`, so a reduced
+/// run never replaces the committed full-length figures). Returns the
+/// JSON path and the number of benchmarks the suite lost to panics.
 ///
 /// # Panics
 ///
@@ -324,7 +367,11 @@ pub fn run_suite_metrics() -> std::io::Result<(PathBuf, usize)> {
          cannot be wired correctly"
     );
 
-    let fig_dir = workspace_root().join("results").join("figures");
+    let fig_dir = if quick() {
+        results_dir().join("figures")
+    } else {
+        workspace_root().join("results").join("figures")
+    };
     for run in &suite.runs {
         let path = fig_dir.join(format!("utilization-{}.svg", run.profile.name));
         match dcg_experiments::write_utilization_svg(run.profile.name, &run.metrics, &path) {

@@ -5,9 +5,12 @@
 //! Timing model: accesses return the cycle at which their data is
 //! available. Misses are non-blocking — each outstanding line fill is
 //! tracked so secondary misses to the same line merge with the fill in
-//! flight (MSHR behaviour) instead of paying the full latency again.
+//! flight (MSHR behaviour) instead of paying the full latency again. A
+//! caller that promises no earlier access ([`CacheHierarchy::retire_landed`])
+//! lets landed fills leave the tables, which then hold only fills in
+//! flight.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::config::CacheConfig;
 
@@ -209,6 +212,13 @@ pub struct CacheHierarchy {
     l1_pending: HashMap<u64, u64>,
     /// Outstanding L2 line fills.
     l2_pending: HashMap<u64, u64>,
+    /// No pending fill lands before this cycle (a lower bound).
+    next_landing: u64,
+    /// Prefetch mode only: L1 lines whose retired fill no access has
+    /// touched since. Until one does, such a line still counts as pending
+    /// for the prefetcher's "already in flight" test, as it did before
+    /// retirement existed.
+    landed_untouched: HashSet<u64>,
     l2_accesses: u64,
     l2_misses_seen: u64,
     prefetch_next_line: bool,
@@ -225,6 +235,8 @@ impl CacheHierarchy {
             mem_latency,
             l1_pending: HashMap::new(),
             l2_pending: HashMap::new(),
+            next_landing: u64::MAX,
+            landed_untouched: HashSet::new(),
             l2_accesses: 0,
             l2_misses_seen: 0,
             prefetch_next_line: false,
@@ -243,6 +255,38 @@ impl CacheHierarchy {
     /// Next-line prefetches launched so far.
     pub fn prefetches(&self) -> u64 {
         self.prefetches
+    }
+
+    /// Promise that no later access is at a cycle before `now`, and drop
+    /// every fill that has landed by then from the MSHR tables. Exact: an
+    /// access at or after a fill's landing cycle would only have retired
+    /// the entry and probed the (eagerly filled) array, which is what it
+    /// does when the entry is gone.
+    pub fn retire_landed(&mut self, now: u64) {
+        if now < self.next_landing {
+            return;
+        }
+        let keep_untouched = self.prefetch_next_line;
+        let untouched = &mut self.landed_untouched;
+        self.l1_pending.retain(|&line, &mut fill| {
+            let landed = fill <= now;
+            if landed && keep_untouched {
+                untouched.insert(line);
+            }
+            !landed
+        });
+        self.l2_pending.retain(|_, &mut fill| fill > now);
+        self.next_landing = self
+            .l1_pending
+            .values()
+            .chain(self.l2_pending.values())
+            .copied()
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
+    fn note_fill(&mut self, fill: u64) {
+        self.next_landing = self.next_landing.min(fill);
     }
 
     /// Access `addr` at `cycle`; returns when data is ready and which
@@ -265,6 +309,8 @@ impl CacheHierarchy {
             // The fill already landed (lines are installed eagerly at miss
             // time); just retire the MSHR entry.
             self.l1_pending.remove(&l1_line);
+        } else if self.prefetch_next_line {
+            self.landed_untouched.remove(&l1_line);
         }
 
         match self.l1.probe(addr) {
@@ -278,6 +324,7 @@ impl CacheHierarchy {
                 let (l2_ready, l2_miss) = self.access_l2(addr, cycle + l1_lat);
                 let data_ready = l2_ready;
                 self.l1_pending.insert(l1_line, data_ready);
+                self.note_fill(data_ready);
                 // Install eagerly; residency from 'now' is a fine
                 // approximation since timing comes from the pending map.
                 self.l1.fill(addr);
@@ -301,11 +348,15 @@ impl CacheHierarchy {
         let next =
             addr.wrapping_add(self.l1.config().line_bytes) & !(self.l1.config().line_bytes - 1);
         let line = next >> self.l1.line_shift;
-        if self.l1_pending.contains_key(&line) || self.l1.peek(next) == LookupResult::Hit {
+        if self.l1_pending.contains_key(&line)
+            || self.landed_untouched.contains(&line)
+            || self.l1.peek(next) == LookupResult::Hit
+        {
             return false;
         }
         let (ready, _) = self.access_l2(next, cycle);
         self.l1_pending.insert(line, ready);
+        self.note_fill(ready);
         self.l1.fill(next);
         self.prefetches += 1;
         true
@@ -329,6 +380,7 @@ impl CacheHierarchy {
                 self.l2_misses_seen += 1;
                 let ready = cycle + l2_lat + u64::from(self.mem_latency);
                 self.l2_pending.insert(l2_line, ready);
+                self.note_fill(ready);
                 self.l2.fill(addr);
                 (ready, true)
             }
@@ -497,6 +549,68 @@ mod tests {
         let again = pf.access(0x1000, first.data_ready + 1);
         assert!(!again.l1_miss);
         assert_eq!(pf.prefetches(), 1);
+    }
+
+    #[test]
+    fn retired_fills_keep_the_mshr_tables_bounded() {
+        // 100k distinct lines, one per cycle: every access misses both
+        // levels, so ~L1 + L2 + memory latency fills are in flight at any
+        // time and every other entry has landed.
+        for prefetch in [false, true] {
+            let mut h = CacheHierarchy::new(small_l1(), small_l2(), 100);
+            if prefetch {
+                h = h.with_next_line_prefetch();
+            }
+            let mut peak = 0;
+            for k in 0..100_000u64 {
+                h.retire_landed(k);
+                h.access(k * 64, k);
+                peak = peak.max(h.l1_pending.len() + h.l2_pending.len());
+            }
+            // One L1 and one L2 fill launched per cycle, plus the
+            // prefetcher's L1 fill (its L2 line is the demand miss's).
+            let per_cycle = if prefetch { 3 } else { 2 };
+            let in_flight = per_cycle * (2 + 12 + 100 + 1);
+            assert!(
+                peak <= in_flight,
+                "prefetch={prefetch}: {peak} MSHR entries for {in_flight} fills in flight"
+            );
+        }
+    }
+
+    #[test]
+    fn retirement_does_not_change_timing() {
+        // Out-of-order access cycles (loads scheduled ahead of stores)
+        // against a hierarchy that retires each cycle and one that never
+        // does: every outcome must agree.
+        for prefetch in [false, true] {
+            let build = || {
+                let h = CacheHierarchy::new(small_l1(), small_l2(), 100);
+                if prefetch {
+                    h.with_next_line_prefetch()
+                } else {
+                    h
+                }
+            };
+            let (mut retiring, mut keeping) = (build(), build());
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for now in 0..20_000u64 {
+                retiring.retire_landed(now);
+                for _ in 0..2 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let addr = (x % 96) * 32 + (x >> 60) * 4096;
+                    let cycle = now + (x >> 32) % 4;
+                    assert_eq!(
+                        retiring.access(addr, cycle),
+                        keeping.access(addr, cycle),
+                        "prefetch={prefetch} addr={addr:#x} cycle={cycle}"
+                    );
+                }
+            }
+            assert!(retiring.l1_pending.len() < keeping.l1_pending.len());
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! Because the workload is trace-like, every memory operation's effective
 //! address is known at dispatch; the timing consequences of dependences
 //! remain (a load behind an unexecuted same-word store must wait for it).
+//!
+//! Lookups cost events, not occupancy: a per-bucket count of in-flight
+//! stores answers "no store to this word" without touching the queue,
+//! and entries are found by sequence number (the queue is in program
+//! order), so only a load that may conflict scans — and then only the
+//! entries older than itself.
 
 use std::collections::VecDeque;
 
@@ -31,6 +37,10 @@ struct LsqEntry {
     executed: bool,
 }
 
+/// Store-word buckets per queue entry: enough that unrelated words rarely
+/// share a bucket, so a zero count is the common answer.
+const BUCKETS_PER_ENTRY: usize = 16;
+
 /// The load/store queue.
 ///
 /// # Example
@@ -54,6 +64,10 @@ struct LsqEntry {
 pub struct Lsq {
     entries: VecDeque<LsqEntry>,
     capacity: usize,
+    /// In-flight stores per word bucket (`word & (len - 1)`). Exact per
+    /// bucket, so a zero proves no in-flight store targets any word in
+    /// it; a non-zero count only means "scan".
+    store_words: Vec<u32>,
 }
 
 impl Lsq {
@@ -67,6 +81,7 @@ impl Lsq {
         Lsq {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            store_words: vec![0; (capacity * BUCKETS_PER_ENTRY).next_power_of_two()],
         }
     }
 
@@ -90,6 +105,21 @@ impl Lsq {
         self.capacity
     }
 
+    fn bucket(&self, word: u64) -> usize {
+        (word as usize) & (self.store_words.len() - 1)
+    }
+
+    /// Position of `id` in the queue, if it is in flight. Commit and
+    /// store drain mostly remove the oldest entry, so that is tried first.
+    fn position(&self, id: InstId) -> Option<usize> {
+        if self.entries.front().is_some_and(|e| e.id == id) {
+            return Some(0);
+        }
+        self.entries
+            .binary_search_by_key(&id.seq(), |e| e.id.seq())
+            .ok()
+    }
+
     /// Append a memory operation at dispatch (program order).
     ///
     /// Returns `false` when full.
@@ -97,10 +127,15 @@ impl Lsq {
         if self.is_full() {
             return false;
         }
+        let word = addr >> 3;
+        if is_store {
+            let b = self.bucket(word);
+            self.store_words[b] += 1;
+        }
         self.entries.push_back(LsqEntry {
             id,
             is_store,
-            word: addr >> 3,
+            word,
             executed: false,
         });
         true
@@ -109,35 +144,41 @@ impl Lsq {
     /// Decide how the load `id` (at `addr`) interacts with older stores.
     pub fn load_disposition(&self, id: InstId, addr: u64) -> LoadDisposition {
         let word = addr >> 3;
+        if self.store_words[self.bucket(word)] == 0 {
+            return LoadDisposition::AccessCache;
+        }
         // Newest older store to the same word wins.
-        let mut result = LoadDisposition::AccessCache;
-        for e in &self.entries {
-            if e.id.seq() >= id.seq() {
-                break;
-            }
-            if e.is_store && e.word == word {
-                result = if e.executed {
+        let older = self.entries.partition_point(|e| e.id.seq() < id.seq());
+        self.entries
+            .range(..older)
+            .rev()
+            .find(|e| e.is_store && e.word == word)
+            .map_or(LoadDisposition::AccessCache, |e| {
+                if e.executed {
                     LoadDisposition::Forward
                 } else {
                     LoadDisposition::WaitForStore(e.id)
-                };
-            }
-        }
-        result
+                }
+            })
     }
 
     /// Mark a memory operation as executed (address generated, store data
     /// available for forwarding).
     pub fn mark_executed(&mut self, id: InstId) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
-            e.executed = true;
+        if let Some(pos) = self.position(id) {
+            self.entries[pos].executed = true;
         }
     }
 
     /// Remove a memory operation (at commit).
     pub fn remove(&mut self, id: InstId) {
-        if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
-            self.entries.remove(pos);
+        let Some(pos) = self.position(id) else {
+            return;
+        };
+        let e = self.entries.remove(pos).expect("position is in range");
+        if e.is_store {
+            let b = self.bucket(e.word);
+            self.store_words[b] -= 1;
         }
     }
 }
@@ -147,6 +188,122 @@ mod tests {
     use super::*;
     use crate::rob::Rob;
     use dcg_isa::{Inst, MemRef};
+    use dcg_testkit::prop;
+
+    /// The queue as it was before its store-word index and sequence-number
+    /// lookups: a linear scan per query. The reference the property below
+    /// checks every answer against.
+    struct LinearLsq {
+        entries: VecDeque<LsqEntry>,
+        capacity: usize,
+    }
+
+    impl LinearLsq {
+        fn push(&mut self, id: InstId, is_store: bool, addr: u64) -> bool {
+            if self.entries.len() == self.capacity {
+                return false;
+            }
+            self.entries.push_back(LsqEntry {
+                id,
+                is_store,
+                word: addr >> 3,
+                executed: false,
+            });
+            true
+        }
+
+        fn load_disposition(&self, id: InstId, addr: u64) -> LoadDisposition {
+            let word = addr >> 3;
+            let mut result = LoadDisposition::AccessCache;
+            for e in &self.entries {
+                if e.id.seq() >= id.seq() {
+                    break;
+                }
+                if e.is_store && e.word == word {
+                    result = if e.executed {
+                        LoadDisposition::Forward
+                    } else {
+                        LoadDisposition::WaitForStore(e.id)
+                    };
+                }
+            }
+            result
+        }
+
+        fn mark_executed(&mut self, id: InstId) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
+                e.executed = true;
+            }
+        }
+
+        fn remove(&mut self, id: InstId) {
+            if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
+                self.entries.remove(pos);
+            }
+        }
+    }
+
+    #[test]
+    fn lookups_match_the_linear_scan() {
+        // (kind, a, b): push / execute / remove / query, on three words
+        // that also alias in the store-word buckets.
+        let ops = prop::vec(
+            prop::tuple((0u8..8, prop::any_u64(), prop::any_u64())),
+            0usize..=160,
+        );
+        prop::check(
+            "lsq_matches_linear_scan",
+            prop::tuple((1usize..=12, ops)),
+            |(cap, ops)| {
+                let addr_of = |a: u64, b: u64| ((a >> 1) % 3) * 8 + b % 8 + (((b >> 3) % 3) << 23);
+                let mut rob = Rob::new(ops.len().max(1));
+                let mut fast = Lsq::new(cap);
+                let mut slow = LinearLsq {
+                    entries: VecDeque::new(),
+                    capacity: cap,
+                };
+                for (kind, a, b) in ops {
+                    let live = slow.entries.len();
+                    match kind {
+                        0..=2 => {
+                            let id = rob.push(Inst::load(0, MemRef::new(0, 8))).unwrap();
+                            let (is_store, addr) = (a & 1 == 1, addr_of(a, b));
+                            assert_eq!(
+                                fast.push(id, is_store, addr),
+                                slow.push(id, is_store, addr)
+                            );
+                        }
+                        3 | 4 if live > 0 => {
+                            let id = slow.entries[a as usize % live].id;
+                            fast.mark_executed(id);
+                            slow.mark_executed(id);
+                        }
+                        5 if live > 0 => {
+                            let id = slow.entries[a as usize % live].id;
+                            fast.remove(id);
+                            slow.remove(id);
+                        }
+                        6 | 7 if live > 0 => {
+                            let e = slow.entries[a as usize % live];
+                            let addr = if b & 1 == 0 {
+                                e.word << 3
+                            } else {
+                                addr_of(b >> 1, a)
+                            };
+                            assert_eq!(
+                                fast.load_disposition(e.id, addr),
+                                slow.load_disposition(e.id, addr),
+                                "query seq {} at {addr:#x}",
+                                e.id.seq()
+                            );
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(fast.len(), slow.entries.len());
+                }
+            },
+        );
+    }
 
     fn mem_ids(n: usize) -> (Rob, Vec<InstId>) {
         let mut rob = Rob::new(n.max(1));

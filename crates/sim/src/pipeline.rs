@@ -140,7 +140,7 @@ impl<S: InstStream> Processor<S> {
             peeked: None,
             cycle: 0,
             rob: Rob::new(config.rob_entries),
-            iq: IssueQueue::new(config.iq_entries),
+            iq: IssueQueue::new(config.iq_entries, config.rob_entries),
             lsq: Lsq::new(config.lsq_entries),
             fus: FuPool::new(&config, policy),
             active: ActiveTracker::new(&config),
@@ -263,11 +263,14 @@ impl<S: InstStream> Processor<S> {
         self.active.advance();
         self.activity.reset(now);
         self.renamed_this_cycle = 0;
+        // Every access this cycle schedules is at `now` or later.
+        self.icache.retire_landed(now);
+        self.dcache.retire_landed(now);
 
         self.drain_stores(now);
         self.do_commit(now);
         self.do_issue(now);
-        self.do_dispatch(now);
+        self.do_dispatch();
         self.do_front_advance();
         self.do_fetch(now);
         self.finalize_cycle(now);
@@ -353,6 +356,10 @@ impl<S: InstStream> Processor<S> {
             }
             self.release_map(head);
             self.rob.pop_head();
+            // A committed producer's value is ready; this releases
+            // consumers of one that announced no result cycle at issue
+            // (a store or branch naming a destination).
+            self.iq.wake(head, now);
             committed += 1;
         }
         self.activity.committed = committed;
@@ -394,29 +401,24 @@ impl<S: InstStream> Processor<S> {
             self.fus.set_enabled(c, self.constraints.enabled(c));
         }
         let allowed = self.cfg.issue_width.min(self.constraints.issue_width);
-        let mut iq = std::mem::replace(&mut self.iq, IssueQueue::new(1));
-        let _granted = iq.select(allowed, |id| self.try_issue_one(id, now));
-        self.iq = iq;
-    }
-
-    fn operands_ready(&self, id: InstId, now: u64) -> bool {
-        let e = self.rob.get(id).expect("candidate is live");
-        for p in e.producers.iter().flatten() {
-            if let Some(pe) = self.rob.get(*p) {
-                match pe.result_ready {
-                    Some(r) if r <= now => {}
-                    _ => return false,
-                }
+        // Oldest first. An entry whose operands are not ready, or that
+        // finds no unit, port or bus, stays and retries next cycle.
+        let mut granted = 0;
+        let mut k = 0;
+        while granted < allowed && k < self.iq.len() {
+            let (id, ready) = self.iq.entry(k, now);
+            if ready && self.try_issue_one(id, now) {
+                self.iq.remove(k);
+                granted += 1;
+            } else {
+                k += 1;
             }
-            // A stale handle means the producer committed: value is ready.
         }
-        true
     }
 
+    /// Issue `id`, whose operands are ready, if its unit, port and bus are
+    /// free; a grant announces its result-ready cycle to its consumers.
     fn try_issue_one(&mut self, id: InstId, now: u64) -> bool {
-        if !self.operands_ready(id, now) {
-            return false;
-        }
         let (op, mem, mispredicted, srcs) = {
             let e = self.rob.get(id).expect("candidate is live");
             (
@@ -427,7 +429,6 @@ impl<S: InstStream> Processor<S> {
             )
         };
         let spec = self.cfg.op_spec(op);
-        let ex_off = self.issue_to_exec;
 
         let issued = match op {
             OpClass::Load => self.issue_load(id, now, mem.expect("load has addr").addr),
@@ -438,14 +439,14 @@ impl<S: InstStream> Processor<S> {
             return false;
         }
 
-        let e = self.rob.get_mut(id).expect("candidate is live");
-        e.issued = Some(now);
+        if let Some(r) = self.rob.get(id).expect("candidate is live").result_ready {
+            self.iq.wake(id, r);
+        }
         self.activity.issued += 1;
         if op.is_fp() {
             self.activity.issued_fp += 1;
         }
         self.activity.regfile_reads += srcs;
-        let _ = ex_off;
         true
     }
 
@@ -487,9 +488,7 @@ impl<S: InstStream> Processor<S> {
         {
             let e = self.rob.get_mut(id).expect("load is live");
             e.result_ready = Some(data_ready.saturating_sub(2).max(now + 1));
-            e.writeback = Some(wb);
             e.complete_at = Some(wb);
-            e.fu = Some((FuClass::MemPort, port));
         }
         self.lsq.mark_executed(id);
         self.activity.issued_loads += 1;
@@ -531,17 +530,10 @@ impl<S: InstStream> Processor<S> {
         };
         let exec_end = now + u64::from(ex_off) + u64::from(latency) - 1;
         self.active.mark(class, fu, ex_off, latency);
-        {
-            let e = self.rob.get_mut(id).expect("candidate is live");
-            e.fu = Some((class, fu));
-            if op.writes_result() {
-                e.result_ready = Some(now + u64::from(latency));
-            }
-        }
         if op.writes_result() {
             let wb = self.book_bus(exec_end + u64::from(self.exec_to_wb));
             let e = self.rob.get_mut(id).expect("candidate is live");
-            e.writeback = Some(wb);
+            e.result_ready = Some(now + u64::from(latency));
             e.complete_at = Some(wb);
         } else {
             let e = self.rob.get_mut(id).expect("candidate is live");
@@ -574,7 +566,7 @@ impl<S: InstStream> Processor<S> {
         }
     }
 
-    fn do_dispatch(&mut self, now: u64) {
+    fn do_dispatch(&mut self) {
         let last = self.front.len() - 1;
         let mut dispatched = 0u32;
         while let Some(fi) = self.front[last].front().copied() {
@@ -584,19 +576,25 @@ impl<S: InstStream> Processor<S> {
             }
             self.front[last].pop_front();
             let id = self.rob.push(fi.inst).expect("checked not full");
-            // Wire producers from the map table.
-            let mut producers = [None, None];
+            self.rob.get_mut(id).expect("just pushed").mispredicted = fi.mispredicted;
+            // Wire producers from the map table: one that has issued
+            // already fixed its result-ready cycle; one that has not will
+            // announce it through the issue queue. A committed producer
+            // (no longer mapped) is ready.
+            let mut ready_at = 0;
+            let mut waiting_on = [None, None];
             for (k, src) in fi.inst.srcs.iter().enumerate() {
-                if let Some(r) = src {
-                    if !r.is_zero() {
-                        producers[k] = self.map_table[r.dense()];
-                    }
+                let Some(r) = src.filter(|r| !r.is_zero()) else {
+                    continue;
+                };
+                let Some(p) = self.map_table[r.dense()] else {
+                    continue;
+                };
+                match self.rob.get(p).map(|pe| pe.result_ready) {
+                    Some(Some(t)) => ready_at = ready_at.max(t),
+                    Some(None) => waiting_on[k] = Some(p),
+                    None => {}
                 }
-            }
-            {
-                let e = self.rob.get_mut(id).expect("just pushed");
-                e.producers = producers;
-                e.mispredicted = fi.mispredicted;
             }
             if let Some(dest) = fi.inst.dest {
                 if !dest.is_zero() {
@@ -611,12 +609,11 @@ impl<S: InstStream> Processor<S> {
                 );
                 debug_assert!(pushed, "LSQ space was checked");
             }
-            let pushed = self.iq.push(id);
+            let pushed = self.iq.push(id, ready_at, waiting_on);
             debug_assert!(pushed, "IQ space was checked");
             dispatched += 1;
         }
         self.activity.dispatched = dispatched;
-        let _ = now;
     }
 
     fn do_front_advance(&mut self) {
@@ -624,11 +621,12 @@ impl<S: InstStream> Processor<S> {
         let first_rename_slot = depth.fetch + depth.decode;
         for i in (1..self.front.len()).rev() {
             if self.front[i].is_empty() && !self.front[i - 1].is_empty() {
-                let moved = std::mem::take(&mut self.front[i - 1]);
+                // Swapping with the empty slot moves the group and keeps
+                // both buffers' allocations.
+                self.front.swap(i - 1, i);
                 if i == first_rename_slot {
-                    self.renamed_this_cycle = moved.len() as u32;
+                    self.renamed_this_cycle = self.front[i].len() as u32;
                 }
-                self.front[i] = moved;
             }
         }
         // Single front slot (no distinct rename slot) degenerate case is
@@ -910,6 +908,47 @@ mod tests {
             tiny.stats().ipc() > big.stats().ipc(),
             "code misses must cost fetch bandwidth"
         );
+    }
+
+    #[test]
+    fn consumer_of_a_resultless_producer_waits_for_its_commit() {
+        use dcg_isa::{ArchReg, BranchInfo, BranchKind, Inst, OpClass};
+        use dcg_workloads::ReplayStream;
+        // A branch naming a destination (which the ISA calls malformed)
+        // never announces a result cycle; its consumer issues once the
+        // branch commits. Pinned cycle count from the per-cycle rescan
+        // this replaced.
+        let r = ArchReg::int(5);
+        let trace = vec![
+            Inst::alu(0, OpClass::IntAlu).with_dest(r),
+            Inst::branch(
+                4,
+                BranchInfo {
+                    kind: BranchKind::Jump,
+                    taken: true,
+                    target: 8,
+                },
+            )
+            .with_dest(r)
+            .with_srcs([Some(r), None]),
+            Inst::alu(8, OpClass::IntMul)
+                .with_dest(ArchReg::int(6))
+                .with_srcs([Some(r), None]),
+            Inst::branch(
+                12,
+                BranchInfo {
+                    kind: BranchKind::Jump,
+                    taken: true,
+                    target: 0,
+                },
+            ),
+        ];
+        let mut cpu = Processor::new(
+            SimConfig::baseline_8wide(),
+            ReplayStream::new("bdest", trace),
+        );
+        cpu.run_until_commits(4_000, |_| {});
+        assert_eq!(cpu.cycle(), 6_132);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reorder buffer: the in-flight instruction window (128 entries in
 //! Table 1) and the per-instruction microarchitectural state.
 
-use dcg_isa::{FuClass, Inst};
+use dcg_isa::Inst;
 
 /// Handle to an in-flight instruction.
 ///
@@ -19,6 +19,11 @@ impl InstId {
     pub fn seq(self) -> u64 {
         self.seq
     }
+
+    /// The reorder-buffer slot this instruction occupies while in flight.
+    pub(crate) fn slot(self) -> usize {
+        self.slot as usize
+    }
 }
 
 /// Microarchitectural state of one in-flight instruction.
@@ -31,20 +36,12 @@ pub struct InFlight {
     /// The front end predicted this branch wrong; fetch is stalled until it
     /// executes.
     pub mispredicted: bool,
-    /// Cycle the instruction was issued (selected), if yet.
-    pub issued: Option<u64>,
-    /// Earliest cycle a consumer may issue (result forwarding).
+    /// Earliest cycle a consumer may issue (result forwarding). Written
+    /// once, when a value-producing instruction issues, and never moved:
+    /// the issue queue's operand-ready cycles are derived from it.
     pub result_ready: Option<u64>,
-    /// Booked result-bus / writeback cycle (value-producing ops only).
-    pub writeback: Option<u64>,
     /// Cycle at which the instruction becomes commit-eligible.
     pub complete_at: Option<u64>,
-    /// Execution-unit binding chosen at select time.
-    pub fu: Option<(FuClass, usize)>,
-    /// Producers of the source operands (in-flight at dispatch time).
-    pub producers: [Option<InstId>; 2],
-    /// For stores: the scheduled commit-time D-cache access cycle.
-    pub store_access: Option<u64>,
 }
 
 impl InFlight {
@@ -54,13 +51,8 @@ impl InFlight {
             inst,
             seq,
             mispredicted: false,
-            issued: None,
             result_ready: None,
-            writeback: None,
             complete_at: None,
-            fu: None,
-            producers: [None, None],
-            store_access: None,
         }
     }
 
